@@ -10,7 +10,8 @@
 //! those accesses.
 //!
 //! [`RaceCandidates::from_modref`] builds the index; `ppd-graph`'s
-//! `detect_races_pruned` consults it per (variable, process pair).
+//! `detect_races` consults it per (variable, process pair) when passed
+//! as its `candidates` filter.
 
 use crate::interproc::ModRef;
 use crate::varset::VarSetRepr;

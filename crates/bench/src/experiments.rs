@@ -8,10 +8,7 @@ use crate::workloads::{self, Workload};
 use ppd_analysis::{BitVarSet, EBlockStrategy, ListVarSet, VarSetRepr};
 use ppd_core::Controller;
 use ppd_graph::{
-    detect_races_absint, detect_races_absint_counted, detect_races_indexed,
-    detect_races_indexed_counted, detect_races_mhp, detect_races_mhp_counted, detect_races_naive,
-    detect_races_naive_counted, detect_races_par, detect_races_pruned, detect_races_pruned_counted,
-    detect_races_typed, detect_races_typed_counted, TransitiveClosure, VectorClocks,
+    detect_races, detect_races_naive, naive_pairs, race_pairs, TransitiveClosure, VectorClocks,
 };
 use ppd_lang::{BodyId, ProcId, VarId};
 use ppd_runtime::CountingTracer;
@@ -193,22 +190,22 @@ pub fn e4_race_detection() -> Table {
         let t_closure = median_of(REPS, || TransitiveClosure::compute(g));
         let t_vclock = median_of(REPS, || VectorClocks::compute(g));
         let ord = VectorClocks::compute(g);
+        let scan = |c| detect_races(g, &ord, Some(c), 1);
         let t_naive = median_of(REPS, || detect_races_naive(g, &ord));
-        let t_pruned = median_of(REPS, || detect_races_pruned(g, &ord, cands));
-        let t_mhp = median_of(REPS, || detect_races_mhp(g, &ord, mhp_cands));
-        let t_typed = median_of(REPS, || detect_races_typed(g, &ord, typed_cands));
-        let t_absint = median_of(REPS, || detect_races_absint(g, &ord, absint_cands));
-        let (races, naive_pairs) = detect_races_naive_counted(g, &ord);
-        let (_, indexed_pairs) = detect_races_indexed_counted(g, &ord);
-        let (pruned_races, pruned_pairs) = detect_races_pruned_counted(g, &ord, cands);
-        let (mhp_races, mhp_pairs) = detect_races_mhp_counted(g, &ord, mhp_cands);
-        let (typed_races, typed_pairs) = detect_races_typed_counted(g, &ord, typed_cands);
-        let (absint_races, absint_pairs) = detect_races_absint_counted(g, &ord, absint_cands);
-        assert_eq!(races, pruned_races, "pruning changed the race set");
-        assert_eq!(races, mhp_races, "MHP pruning changed the race set");
-        assert_eq!(races, typed_races, "typed-channel pruning changed the race set");
-        assert_eq!(races, absint_races, "interval pruning changed the race set");
-        assert!(absint_pairs <= typed_pairs, "absint examined more pairs than typed");
+        let t_pruned = median_of(REPS, || scan(cands));
+        let t_mhp = median_of(REPS, || scan(mhp_cands));
+        let t_typed = median_of(REPS, || scan(typed_cands));
+        let t_absint = median_of(REPS, || scan(absint_cands));
+        let races = detect_races_naive(g, &ord);
+        assert_eq!(races, scan(cands), "pruning changed the race set");
+        assert_eq!(races, scan(mhp_cands), "MHP pruning changed the race set");
+        assert_eq!(races, scan(typed_cands), "typed-channel pruning changed the race set");
+        assert_eq!(races, scan(absint_cands), "interval pruning changed the race set");
+        // naive, indexed, then the four static indexes in refinement order.
+        let stages = [None, Some(cands), Some(mhp_cands), Some(typed_cands), Some(absint_cands)];
+        let pairs: Vec<usize> =
+            std::iter::once(naive_pairs(g)).chain(stages.map(|c| race_pairs(g, c))).collect();
+        assert!(pairs[5] <= pairs[4], "absint examined more pairs than typed");
         // Snapshot entries the MHP trim avoided: same program prepared
         // without the trim logs this many more (variable, value) pairs.
         let untrimmed = ppd_core::PpdSession::prepare_with(
@@ -233,9 +230,7 @@ pub fn e4_race_detection() -> Table {
             fmt_duration(t_mhp),
             fmt_duration(t_typed),
             fmt_duration(t_absint),
-            format!(
-                "{naive_pairs}/{indexed_pairs}/{pruned_pairs}/{mhp_pairs}/{typed_pairs}/{absint_pairs}"
-            ),
+            pairs.iter().map(usize::to_string).collect::<Vec<_>>().join("/"),
             format!(
                 "{}/{}/{}/{}",
                 cands.len(),
@@ -484,7 +479,7 @@ pub fn e7_parallel_scaling_with(max_jobs: usize) -> Table {
     // (tens of thousands of candidate pairs).
     let sg = dense_graph(8, 96, 8);
     let ord = VectorClocks::compute(&sg);
-    let races_seq = detect_races_indexed(&sg, &ord);
+    let races_seq = detect_races(&sg, &ord, None, 1);
 
     let mut cold_base = Duration::ZERO;
     let mut scan_base = Duration::ZERO;
@@ -498,9 +493,9 @@ pub fn e7_parallel_scaling_with(max_jobs: usize) -> Table {
         warm_c.set_jobs(jobs);
         warm_c.prefetch_all().expect("prefetch succeeds");
         let warm = median_of(REPS, || warm_c.prefetch_all().expect("prefetch succeeds"));
-        let races_par = detect_races_par(&sg, &ord, None, jobs);
+        let races_par = detect_races(&sg, &ord, None, jobs);
         assert_eq!(races_seq, races_par, "parallel scan changed the race set");
-        let scan = median_of(REPS, || detect_races_par(&sg, &ord, None, jobs));
+        let scan = median_of(REPS, || detect_races(&sg, &ord, None, jobs));
         if jobs == 1 {
             cold_base = cold;
             scan_base = scan;
@@ -529,7 +524,7 @@ pub fn e7_parallel_scaling_with(max_jobs: usize) -> Table {
     ));
     t.note("entirely from the sharded concurrent trace cache; race scan =");
     t.note(format!(
-        "`detect_races_par` over a dense synthetic graph ({} internal edges, \
+        "`detect_races` over a dense synthetic graph ({} internal edges, \
          {} races). Parallel results are asserted identical to sequential each run.",
         sg.internal_edges().len(),
         races_seq.len()
@@ -1085,7 +1080,7 @@ pub fn f61_figure() -> Table {
     let empty_edges = g.internal_edges().iter().filter(|e| e.events == 0).count();
     t.row(vec!["zero-event edges (paper's e4)".into(), empty_edges.to_string()]);
     let ord = VectorClocks::compute(g);
-    let races = detect_races_indexed(g, &ord);
+    let races = detect_races(g, &ord, None, 1);
     for (i, r) in races.iter().enumerate() {
         t.row(vec![format!("race {}", i + 1), ppd_graph::race::describe_race(g, session.rp(), r)]);
     }

@@ -13,7 +13,7 @@ use crate::replay::{DebugStats, ReplayEngine};
 use crate::session::{Execution, PpdSession};
 use crate::PpdError;
 use ppd_analysis::VarSetRepr;
-use ppd_graph::{detect_races_par, DynEdgeKind, DynNodeId, DynamicGraph, Race, VectorClocks};
+use ppd_graph::{detect_races, DynEdgeKind, DynNodeId, DynamicGraph, Race, VectorClocks};
 use ppd_lang::{ProcId, VarId};
 use ppd_log::{IntervalRef, LogEntry};
 use ppd_runtime::Outcome;
@@ -194,9 +194,17 @@ impl<'p> Controller<'p> {
     ///
     /// # Errors
     ///
-    /// Fails if the process logged no intervals.
+    /// Fails if `proc` is not a process of this execution or logged no
+    /// intervals.
     pub fn start_at(&mut self, proc: ProcId) -> Result<DynNodeId, PpdError> {
         let _q = self.engine.query_timer_for("start_at", format!("proc={}", proc.0));
+        let procs = self.engine.index().process_count();
+        if proc.index() >= procs {
+            return Err(PpdError::Debugging(format!(
+                "no process {} (the execution has {procs})",
+                proc.0
+            )));
+        }
         let open = self.engine.index().open_intervals(proc);
         let interval = open
             .last()
@@ -276,7 +284,8 @@ impl<'p> Controller<'p> {
     }
 
     /// The top-level (unnested) intervals of a process, in log order —
-    /// an O(1)-amortized view over the interval index.
+    /// an O(1)-amortized view over the interval index. Empty for a
+    /// process the execution does not have.
     pub fn top_level_intervals(&self, proc: ProcId) -> Vec<IntervalRef> {
         self.engine.index().top_level(proc)
     }
@@ -498,13 +507,7 @@ impl<'p> Controller<'p> {
         let g = &self.execution.pgraph;
         let ord = VectorClocks::compute(g);
         let cands = &self.session.analyses().absint_candidates;
-        let jobs = self.engine.jobs();
-        let races = if jobs > 1 {
-            detect_races_par(g, &ord, Some(cands), jobs)
-        } else {
-            ppd_graph::detect_races_absint(g, &ord, cands)
-        };
-        races
+        detect_races(g, &ord, Some(cands), self.engine.jobs())
             .into_iter()
             .map(|race| RaceReport {
                 race,
@@ -518,24 +521,25 @@ impl<'p> Controller<'p> {
         self.races().is_empty()
     }
 
-    /// The number of cross-process edge pairs each detector stage
-    /// examines on this execution, in pruning order: `naive` (every
-    /// conflicting pair), `indexed` (grouped by accessed cell),
-    /// `pruned` (GMOD/GREF candidates), `mhp` (MHP-refined), `typed`
-    /// (payload-class-refined), `absint` (interval-region-refined).
-    /// Every stage returns the same race set — the counts measure how
-    /// much work each static layer removes (`ppd races --stats`).
+    /// The number of cross-process edge pairs the race scan examines on
+    /// this execution at each pruning stage, in order: `naive` (every
+    /// pair of edges from different processes), `indexed` (pairs
+    /// sharing an accessed cell), `pruned` (GMOD/GREF candidates), `mhp`
+    /// (MHP-refined), `typed` (payload-class-refined), `absint`
+    /// (interval-region-refined). Every stage finds the same race set;
+    /// the counts measure how much work each static layer removes
+    /// (`ppd races --stats`). Counting needs no ordering oracle, so no
+    /// race scan runs.
     pub fn race_stage_pairs(&self) -> Vec<(&'static str, usize)> {
         let g = &self.execution.pgraph;
-        let ord = VectorClocks::compute(g);
         let a = self.session.analyses();
         vec![
-            ("naive", ppd_graph::detect_races_naive_counted(g, &ord).1),
-            ("indexed", ppd_graph::detect_races_indexed_counted(g, &ord).1),
-            ("pruned", ppd_graph::detect_races_pruned_counted(g, &ord, &a.race_candidates).1),
-            ("mhp", ppd_graph::detect_races_mhp_counted(g, &ord, &a.mhp_candidates).1),
-            ("typed", ppd_graph::detect_races_typed_counted(g, &ord, &a.typed_candidates).1),
-            ("absint", ppd_graph::detect_races_absint_counted(g, &ord, &a.absint_candidates).1),
+            ("naive", ppd_graph::naive_pairs(g)),
+            ("indexed", ppd_graph::race_pairs(g, None)),
+            ("pruned", ppd_graph::race_pairs(g, Some(&a.race_candidates))),
+            ("mhp", ppd_graph::race_pairs(g, Some(&a.mhp_candidates))),
+            ("typed", ppd_graph::race_pairs(g, Some(&a.typed_candidates))),
+            ("absint", ppd_graph::race_pairs(g, Some(&a.absint_candidates))),
         ]
     }
 

@@ -289,6 +289,19 @@ fn extend_fails_when_no_writer_exists() {
     assert!(controller.extend_across_processes(root, g).is_err());
 }
 
+#[test]
+fn out_of_range_process_is_an_error_not_a_panic() {
+    let session = prepare("shared int g; process A { g = 1; } process B { print(g); }");
+    let execution = session.execute(RunConfig::default());
+    let mut controller = Controller::new(&session, &execution);
+    let past_end = ProcId(execution.logs.process_count() as u32);
+    assert!(controller.top_level_intervals(past_end).is_empty());
+    let err = controller.start_at(past_end).expect_err("no such process");
+    assert!(matches!(err, crate::PpdError::Debugging(_)), "{err}");
+    // The controller stays usable after the rejected query.
+    controller.start_at(ProcId(0)).expect("process A starts");
+}
+
 // ---------------------------------------------------------------------
 // Races and deadlocks through the controller
 // ---------------------------------------------------------------------

@@ -16,7 +16,8 @@ use crate::parallel::{ParallelGraph, SyncNodeId};
 use ppd_analysis::dataflow::BitSet;
 
 /// A happened-before oracle over a parallel dynamic graph's nodes.
-pub trait Ordering {
+/// `Sync`, so one oracle can serve a parallel race scan's workers.
+pub trait Ordering: Sync {
     /// Whether `a → b` (strictly: `a != b` and `b` reachable from `a`).
     fn precedes(&self, a: SyncNodeId, b: SyncNodeId) -> bool;
 

@@ -333,15 +333,16 @@ impl IntervalIndex {
     }
 
     /// The intervals of `proc` still open when execution stopped —
-    /// innermost last (§5.3).
+    /// innermost last (§5.3). Empty for a process the index lacks.
     pub fn open_intervals(&self, proc: ProcId) -> Vec<IntervalRef> {
-        let p = &self.procs[proc.index()];
+        let Some(p) = self.procs.get(proc.index()) else { return Vec::new() };
         p.open.iter().map(|&i| p.intervals[i].interval).collect()
     }
 
     /// The top-level (unnested) intervals of `proc`, in log order.
+    /// Empty for a process the index lacks.
     pub fn top_level(&self, proc: ProcId) -> Vec<IntervalRef> {
-        let p = &self.procs[proc.index()];
+        let Some(p) = self.procs.get(proc.index()) else { return Vec::new() };
         p.top_level.iter().map(|&i| p.intervals[i].interval).collect()
     }
 

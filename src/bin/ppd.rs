@@ -33,8 +33,9 @@
 //!                       `--format json`, emit the raw metrics registry
 //!                       as a JSON snapshot instead of the table.
 //!                       races: also print, per schedule, how many edge
-//!                       pairs each detector stage examined (naive →
-//!                       indexed → pruned → mhp → typed → absint)
+//!                       pairs the race scan examines at each pruning
+//!                       stage (naive → indexed → pruned → mhp → typed →
+//!                       absint)
 //!   --trace-out FILE    record hierarchical spans from every layer
 //!                       (runtime logging, log codec, replay, cache,
 //!                       race scan, lint passes, pool workers) and write

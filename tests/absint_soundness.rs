@@ -11,7 +11,7 @@
 //!
 //! This is the property the race-pruning chain leans on: if any
 //! concrete index or value could escape its interval, disjoint-region
-//! pruning (`detect_races_absint`) could drop a real race.
+//! pruning (`detect_races` over `absint_candidates`) could drop a real race.
 
 use ppd::analysis::EBlockStrategy;
 use ppd::core::PpdSession;

@@ -56,6 +56,36 @@ fn races_clean_program_exits_zero() {
     assert!(stdout.contains("race-free"), "{stdout}");
 }
 
+/// `ppd races --stats` per example program, pinned under
+/// `tests/golden/*.races.txt`: the race set of each probed schedule and
+/// its `pairs examined` chain, byte-identical at one and two jobs.
+/// Regenerate with `PPD_UPDATE_GOLDEN=1` after an intentional change.
+#[test]
+fn races_stats_match_golden_at_one_and_two_jobs() {
+    let mut programs: Vec<_> = std::fs::read_dir("programs")
+        .expect("programs/ exists")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "ppd"))
+        .collect();
+    programs.sort();
+    assert!(!programs.is_empty());
+    for path in programs {
+        let name = path.file_stem().unwrap().to_string_lossy().into_owned();
+        let golden = format!("tests/golden/{name}.races.txt");
+        let args =
+            |jobs| ["races", path.to_str().unwrap(), "--stats", "--schedules", "3", "--jobs", jobs];
+        if std::env::var_os("PPD_UPDATE_GOLDEN").is_some() {
+            std::fs::write(&golden, run_ppd(&args("1")).0).expect("write golden");
+        }
+        let expected = std::fs::read_to_string(&golden)
+            .unwrap_or_else(|e| panic!("missing golden {golden}: {e}"));
+        for jobs in ["1", "2"] {
+            let (stdout, stderr, _) = run_ppd(&args(jobs));
+            assert_eq!(stdout, expected, "{name} at --jobs {jobs} drifted from {golden}: {stderr}");
+        }
+    }
+}
+
 #[test]
 fn deadlock_is_reported_with_semaphore_names() {
     let (stdout, _, ok) = run_ppd(&["run", "programs/phils.ppd"]);

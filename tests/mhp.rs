@@ -2,8 +2,8 @@
 //!
 //! Two safety contracts from the static MHP analysis:
 //!
-//! 1. **Race preservation** — `detect_races_mhp` (GMOD/GREF candidates
-//!    refined by the MHP fixpoint) reports exactly the race set of
+//! 1. **Race preservation** — `detect_races` over the MHP index (GMOD/GREF
+//!    candidates refined by the MHP fixpoint) reports exactly the race set of
 //!    `detect_races_naive` on every corpus program, every on-disk
 //!    example, and randomized synchronized programs, while scanning no
 //!    more edge pairs than the GMOD/GREF-only index — and strictly
@@ -16,11 +16,7 @@
 
 use ppd::analysis::{AnalysisConfig, EBlockStrategy};
 use ppd::core::{Controller, PpdSession, RunConfig};
-use ppd::graph::{
-    detect_races_mhp, detect_races_mhp_counted, detect_races_naive, detect_races_naive_counted,
-    detect_races_pruned, detect_races_pruned_counted, detect_races_typed,
-    detect_races_typed_counted, VectorClocks,
-};
+use ppd::graph::{detect_races, detect_races_naive, naive_pairs, race_pairs, VectorClocks};
 use ppd::lang::{corpus, ProcId};
 use ppd::log::LogEntry;
 use ppd::runtime::SchedulerSpec;
@@ -46,28 +42,15 @@ fn check(
     let ord = VectorClocks::compute(g);
 
     let naive = detect_races_naive(g, &ord);
-    assert_eq!(
-        detect_races_pruned(g, &ord, gmod_index),
-        naive,
-        "{name}: GMOD/GREF pruning changed the race set"
-    );
-    assert_eq!(
-        detect_races_mhp(g, &ord, mhp_index),
-        naive,
-        "{name}: MHP pruning changed the race set"
-    );
-    assert_eq!(
-        detect_races_typed(g, &ord, typed_index),
-        naive,
-        "{name}: typed-channel pruning changed the race set"
-    );
+    let scan = |c| detect_races(g, &ord, Some(c), 1);
+    assert_eq!(scan(gmod_index), naive, "{name}: GMOD/GREF pruning changed the race set");
+    assert_eq!(scan(mhp_index), naive, "{name}: MHP pruning changed the race set");
+    assert_eq!(scan(typed_index), naive, "{name}: typed-channel pruning changed the race set");
 
-    let (_, naive_pairs) = detect_races_naive_counted(g, &ord);
-    let (_, pruned_pairs) = detect_races_pruned_counted(g, &ord, gmod_index);
-    let (also_mhp, mhp_pairs) = detect_races_mhp_counted(g, &ord, mhp_index);
-    let (also_typed, typed_pairs) = detect_races_typed_counted(g, &ord, typed_index);
-    assert_eq!(also_mhp, naive, "{name}: counted MHP variant disagrees");
-    assert_eq!(also_typed, naive, "{name}: counted typed variant disagrees");
+    let naive_pairs = naive_pairs(g);
+    let pruned_pairs = race_pairs(g, Some(gmod_index));
+    let mhp_pairs = race_pairs(g, Some(mhp_index));
+    let typed_pairs = race_pairs(g, Some(typed_index));
     assert!(
         typed_pairs <= mhp_pairs && mhp_pairs <= pruned_pairs && pruned_pairs <= naive_pairs,
         "{name}: pair counts not monotone \

@@ -1,13 +1,14 @@
 //! Property-based tests on the graph algorithms: the two
-//! happened-before implementations agree, the two race detectors agree,
-//! and the ordering axioms of §6.1 hold on randomized parallel dynamic
-//! graphs.
+//! happened-before implementations agree, the race scan agrees with the
+//! naive oracle at every job count, the examined-pair counts match
+//! brute force, and the ordering axioms of §6.1 hold on randomized
+//! parallel dynamic graphs.
 
 use ppd::analysis::{BitVarSet, ListVarSet, VarSetRepr};
+use ppd::graph::race::pair_conflicts;
 use ppd::graph::{
-    candidates_from_graph, detect_races_indexed, detect_races_naive, detect_races_naive_counted,
-    detect_races_pruned, detect_races_pruned_counted, Ordering as Hb, ParallelGraph, SyncEdgeLabel,
-    SyncNodeKind, TransitiveClosure, VectorClocks,
+    candidates_from_graph, detect_races, detect_races_naive, naive_pairs, race_pairs,
+    Ordering as Hb, ParallelGraph, SyncEdgeLabel, SyncNodeKind, TransitiveClosure, VectorClocks,
 };
 use ppd::lang::{ProcId, VarId};
 use proptest::prelude::*;
@@ -120,8 +121,9 @@ proptest! {
         let g = random_pgraph(&script, procs, 3);
         let ord = VectorClocks::compute(&g);
         let naive = detect_races_naive(&g, &ord);
-        let indexed = detect_races_indexed(&g, &ord);
-        prop_assert_eq!(naive, indexed);
+        for jobs in [1, 2, 8] {
+            prop_assert_eq!(&naive, &detect_races(&g, &ord, None, jobs), "jobs {}", jobs);
+        }
     }
 
     #[test]
@@ -136,11 +138,34 @@ proptest! {
         let g = random_pgraph(&script, procs, 3);
         let ord = VectorClocks::compute(&g);
         let cands = candidates_from_graph(&g);
-        let (naive, naive_pairs) = detect_races_naive_counted(&g, &ord);
-        let (pruned, pruned_pairs) = detect_races_pruned_counted(&g, &ord, &cands);
-        prop_assert_eq!(&naive, &pruned);
-        prop_assert_eq!(naive, detect_races_pruned(&g, &ord, &cands));
-        prop_assert!(pruned_pairs <= naive_pairs);
+        let naive = detect_races_naive(&g, &ord);
+        for jobs in [1, 2, 8] {
+            prop_assert_eq!(&naive, &detect_races(&g, &ord, Some(&cands), jobs), "jobs {}", jobs);
+        }
+        let (pruned_pairs, indexed_pairs) = (race_pairs(&g, Some(&cands)), race_pairs(&g, None));
+        prop_assert_eq!(pruned_pairs, indexed_pairs);
+        prop_assert!(indexed_pairs <= naive_pairs(&g));
+    }
+
+    #[test]
+    fn pair_counts_match_brute_force(
+        script in proptest::collection::vec(any::<u8>(), 8..200),
+        procs in 2u32..5,
+    ) {
+        // The closed-form naive count is every cross-process edge pair;
+        // the unpruned scan examines exactly those pairs that conflict
+        // under Definition 6.3, whatever their ordering.
+        let g = random_pgraph(&script, procs, 3);
+        let edges = g.internal_edges();
+        let (mut cross, mut conflicting) = (0, 0);
+        for (i, a) in edges.iter().enumerate() {
+            for b in edges[i + 1..].iter().filter(|b| b.proc != a.proc) {
+                cross += 1;
+                conflicting += usize::from(!pair_conflicts(&g, a.id, b.id).is_empty());
+            }
+        }
+        prop_assert_eq!(naive_pairs(&g), cross);
+        prop_assert_eq!(race_pairs(&g, None), conflicting);
     }
 
     #[test]
@@ -149,7 +174,7 @@ proptest! {
     ) {
         let g = random_pgraph(&script, 3, 2);
         let ord = VectorClocks::compute(&g);
-        for r in detect_races_indexed(&g, &ord) {
+        for r in detect_races(&g, &ord, None, 1) {
             // Definition 6.1: neither edge precedes the other.
             prop_assert!(!g.edge_precedes(&ord, r.first, r.second));
             prop_assert!(!g.edge_precedes(&ord, r.second, r.first));

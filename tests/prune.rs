@@ -3,16 +3,12 @@
 //! schedules, each stage of the static prune chain
 //! `absint ⊆ typed ⊆ mhp ⊆ gmod/gref ⊆ naive` returns exactly the race
 //! set of `detect_races_naive` while examining no more edge pairs than
-//! the stage before it — and the parallel backend at 8 jobs agrees
-//! bit-for-bit with the sequential scan at 1 job.
+//! the stage before it — and the scan at 8 jobs agrees bit-for-bit with
+//! the scan at 1 job.
 
 use ppd::analysis::EBlockStrategy;
 use ppd::core::{PpdSession, RunConfig};
-use ppd::graph::{
-    detect_races_absint_counted, detect_races_mhp_counted, detect_races_naive_counted,
-    detect_races_par_counted, detect_races_pruned_counted, detect_races_typed_counted,
-    VectorClocks,
-};
+use ppd::graph::{detect_races, detect_races_naive, naive_pairs, race_pairs, VectorClocks};
 use ppd::lang::corpus;
 use ppd::runtime::SchedulerSpec;
 
@@ -38,30 +34,33 @@ fn check_schedule(name: &str, source: &str, scheduler: SchedulerSpec) -> StagePa
     let g = &execution.pgraph;
     let ord = VectorClocks::compute(g);
 
-    let (naive, naive_pairs) = detect_races_naive_counted(g, &ord);
-    let (pruned, pruned_pairs) = detect_races_pruned_counted(g, &ord, &a.race_candidates);
-    let (mhp, mhp_pairs) = detect_races_mhp_counted(g, &ord, &a.mhp_candidates);
-    let (typed, typed_pairs) = detect_races_typed_counted(g, &ord, &a.typed_candidates);
-    let (absint, absint_pairs) = detect_races_absint_counted(g, &ord, &a.absint_candidates);
+    let naive = detect_races_naive(g, &ord);
+    let scan = |c| detect_races(g, &ord, Some(c), 1);
+    assert_eq!(naive, scan(&a.race_candidates), "{name}: gmod/gref pruning changed the race set");
+    assert_eq!(naive, scan(&a.mhp_candidates), "{name}: MHP pruning changed the race set");
+    assert_eq!(naive, scan(&a.typed_candidates), "{name}: typed pruning changed the race set");
+    assert_eq!(naive, scan(&a.absint_candidates), "{name}: interval pruning changed the race set");
 
-    assert_eq!(naive, pruned, "{name}: gmod/gref pruning changed the race set");
-    assert_eq!(naive, mhp, "{name}: MHP pruning changed the race set");
-    assert_eq!(naive, typed, "{name}: typed pruning changed the race set");
-    assert_eq!(naive, absint, "{name}: interval pruning changed the race set");
+    let naive_pairs = naive_pairs(g);
+    let indexed_pairs = race_pairs(g, None);
+    let pruned_pairs = race_pairs(g, Some(&a.race_candidates));
+    let mhp_pairs = race_pairs(g, Some(&a.mhp_candidates));
+    let typed_pairs = race_pairs(g, Some(&a.typed_candidates));
+    let absint_pairs = race_pairs(g, Some(&a.absint_candidates));
+    assert!(indexed_pairs <= naive_pairs, "{name}: indexed examined more pairs than naive");
     assert!(
-        pruned_pairs <= naive_pairs,
-        "{name}: pruned examined more pairs ({pruned_pairs} > {naive_pairs})"
+        pruned_pairs <= indexed_pairs,
+        "{name}: pruned examined more pairs ({pruned_pairs} > {indexed_pairs})"
     );
     assert!(mhp_pairs <= pruned_pairs, "{name}: mhp examined more pairs than gmod/gref");
     assert!(typed_pairs <= mhp_pairs, "{name}: typed examined more pairs than mhp");
     assert!(absint_pairs <= typed_pairs, "{name}: absint examined more pairs than typed");
 
-    // The parallel backend over the final (absint) candidate index must
-    // agree bit-for-bit at 1 and 8 jobs — same races, same pair count.
+    // The scan over the final (absint) candidate index must agree
+    // bit-for-bit at 1 and 8 jobs.
     for jobs in [1, 8] {
-        let (par, par_pairs) = detect_races_par_counted(g, &ord, Some(&a.absint_candidates), jobs);
-        assert_eq!(par, naive, "{name}: parallel scan at {jobs} jobs disagrees");
-        assert_eq!(par_pairs, absint_pairs, "{name}: parallel pair count at {jobs} jobs drifted");
+        let par = detect_races(g, &ord, Some(&a.absint_candidates), jobs);
+        assert_eq!(par, naive, "{name}: scan at {jobs} jobs disagrees");
     }
 
     StagePairs {
