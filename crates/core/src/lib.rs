@@ -98,6 +98,12 @@ impl From<ppd_log::SegError> for PpdError {
     }
 }
 
+impl From<&ppd_log::SegError> for PpdError {
+    fn from(e: &ppd_log::SegError) -> Self {
+        PpdError::Store(e.to_string())
+    }
+}
+
 impl From<ppd_lang::LangError> for PpdError {
     fn from(e: ppd_lang::LangError) -> Self {
         PpdError::Lang(e)

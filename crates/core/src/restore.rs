@@ -16,7 +16,15 @@ use ppd_runtime::{ReplayResult, TraceEvent, Tracer};
 
 /// Rebuilds the values of all shared variables at logical time `t` by
 /// replaying the logs' value records in time order.
-pub fn shared_state_at(session: &PpdSession, execution: &Execution, t: u64) -> Vec<Value> {
+///
+/// # Errors
+///
+/// Returns [`PpdError::Store`] if a segment-backed log fails to decode.
+pub fn shared_state_at(
+    session: &PpdSession,
+    execution: &Execution,
+    t: u64,
+) -> Result<Vec<Value>, PpdError> {
     let rp = session.rp();
     // Initial shared state.
     let mut state: Vec<Value> = rp.vars[..rp.shared_count as usize]
@@ -30,7 +38,7 @@ pub fn shared_state_at(session: &PpdSession, execution: &Execution, t: u64) -> V
     // Merge all processes' entries by timestamp and apply shared values.
     let mut entries: Vec<&LogEntry> = Vec::new();
     for p in 0..execution.logs.process_count() {
-        entries.extend(execution.logs.log(ProcId(p as u32)).entries.iter());
+        entries.extend(execution.logs.try_log(ProcId(p as u32))?.entries.iter());
     }
     entries.sort_by_key(|e| e.time());
     for e in entries {
@@ -49,7 +57,7 @@ pub fn shared_state_at(session: &PpdSession, execution: &Execution, t: u64) -> V
             }
         }
     }
-    state
+    Ok(state)
 }
 
 /// Result of a what-if replay.

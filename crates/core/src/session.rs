@@ -47,12 +47,13 @@ impl RunConfig {
 
 /// Everything the execution phase leaves behind for debugging.
 ///
-/// Serializable: the paper's logs live on disk between the execution
-/// and debugging phases; [`Execution::to_json`]/[`Execution::from_json`]
-/// persist the whole execution record. A loaded execution must be
-/// debugged against a session prepared from the *same source and
-/// e-block strategy* (the plan defines what the logs mean).
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
+/// The paper's logs live on disk between the execution and debugging
+/// phases: [`Execution::save_dir`]/[`Execution::load_dir`] persist the
+/// whole record as a segmented log store plus a `run.json` sidecar. A
+/// loaded execution must be debugged against a session prepared from
+/// the *same source and e-block strategy* (the plan defines what the
+/// logs mean).
+#[derive(Debug)]
 pub struct Execution {
     /// How the run ended.
     pub outcome: Outcome,
@@ -91,25 +92,6 @@ fn write_run_record(dir: &std::path::Path, record: &RunRecord) -> Result<(), Ppd
 }
 
 impl Execution {
-    /// Serializes the execution record (outcome, output, logs, parallel
-    /// graph, config) for offline debugging.
-    ///
-    /// # Errors
-    ///
-    /// Propagates serialization failures.
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string(self)
-    }
-
-    /// Loads a previously saved execution record.
-    ///
-    /// # Errors
-    ///
-    /// Returns a deserialization error on malformed input.
-    pub fn from_json(json: &str) -> Result<Execution, serde_json::Error> {
-        serde_json::from_str(json)
-    }
-
     /// Persists this execution to `dir` as a segmented log store (one
     /// `.seg` file per sealed segment, CRC-guarded footers) plus a
     /// `run.json` sidecar holding everything but the logs. The

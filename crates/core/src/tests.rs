@@ -352,7 +352,7 @@ fn shared_state_at_end_matches_final_values() {
     let session = prepare(ppd_lang::corpus::BANK.source);
     let execution = session.execute(RunConfig::default());
     assert!(execution.outcome.is_success());
-    let state = shared_state_at(&session, &execution, u64::MAX);
+    let state = shared_state_at(&session, &execution, u64::MAX).unwrap();
     let audit = var(&session, "audit_total");
     assert_eq!(state[audit.index()], Value::Int(400));
     let accounts = var(&session, "accounts");
@@ -364,7 +364,7 @@ fn shared_state_at_end_matches_final_values() {
 fn shared_state_at_zero_is_initial() {
     let session = prepare("shared int g = 9; process M { g = 1; }");
     let execution = session.execute(RunConfig::default());
-    let state = shared_state_at(&session, &execution, 0);
+    let state = shared_state_at(&session, &execution, 0).unwrap();
     assert_eq!(state[0], Value::Int(9));
 }
 
@@ -568,7 +568,7 @@ fn breakpoint_halts_all_processes_and_debugging_starts() {
     assert_eq!(stmt, g3);
     // The logs alone only know the last *logged* value (prelog at start);
     // the up-to-date state comes from replaying the open interval (§5.7).
-    let state = shared_state_at(&session, &execution, u64::MAX);
+    let state = shared_state_at(&session, &execution, u64::MAX).unwrap();
     assert_eq!(state[var(&session, "g").index()], Value::Int(0));
     // The debugging phase starts from the halted process's open interval
     // and replays exactly up to the breakpoint — g = 3 never appears.
@@ -686,22 +686,16 @@ fn corrupted_log_yields_log_mismatch() {
     assert!(execution.outcome.is_success());
 
     // Drop the Input record from the log: replay must fail loudly.
-    let json = execution.logs.to_json().unwrap();
-    let mut store = ppd_log::LogStore::from_json(&json).unwrap();
-    store = {
-        // Rebuild without Input entries.
-        let mut clean = ppd_log::LogStore::new(store.process_count());
-        for p in 0..store.process_count() {
-            let pid = ProcId(p as u32);
-            for e in &store.log(pid).entries {
-                if !matches!(e, LogEntry::Input { .. }) {
-                    clean.push(pid, e.clone());
-                }
+    let mut clean = ppd_log::LogStore::new(execution.logs.process_count());
+    for p in 0..execution.logs.process_count() {
+        let pid = ProcId(p as u32);
+        for e in &execution.logs.log(pid).entries {
+            if !matches!(e, LogEntry::Input { .. }) {
+                clean.push(pid, e.clone());
             }
         }
-        clean
-    };
-    execution.logs = store;
+    }
+    execution.logs = clean;
     let interval = execution.logs.intervals(ProcId(0))[0];
     let mut tracer = ppd_runtime::VecTracer::default();
     let res = crate::faithful_replay(&session, &execution, interval, &mut tracer);
@@ -856,16 +850,19 @@ fn explain_race_points_at_both_accesses() {
 }
 
 #[test]
-fn execution_round_trips_through_json_and_debugs() {
+fn execution_round_trips_through_log_dir_and_debugs() {
     let session = prepare(ppd_lang::corpus::FLOWBACK_DEMO.source);
     let mut config = RunConfig::default();
     config.inputs = vec![vec![42, 10]];
     let execution = session.execute(config);
 
     // Save, drop, reload — the offline debugging workflow.
-    let json = execution.to_json().unwrap();
+    let dir = std::env::temp_dir().join(format!("ppd-core-roundtrip-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    execution.save_dir(&dir, 0).unwrap();
     drop(execution);
-    let loaded = crate::Execution::from_json(&json).unwrap();
+    let loaded = crate::Execution::load_dir(&dir).unwrap();
+    assert!(loaded.logs.is_segmented());
     assert!(loaded.outcome.is_failure());
 
     // Debugging the reloaded execution works end to end.
@@ -880,6 +877,7 @@ fn execution_round_trips_through_json_and_debugs() {
     // Rerunning the stored config reproduces the run.
     let again = session.execute(loaded.config.clone());
     assert_eq!(again.output, loaded.output);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -1,35 +1,16 @@
-//! Compact binary encoding of a [`LogStore`].
+//! The log entry wire codec: one-byte entry tags, LEB128 varints and
+//! zigzag-encoded integers.
 //!
-//! The JSON format is convenient for inspection, but its byte count says
-//! nothing about what the paper's object code would actually write to
-//! disk. This module defines a dense format — one-byte entry tags,
-//! LEB128 varints, zigzag-encoded integers — so experiment E2 can report
-//! honest log volume, and round-trips exactly with the JSON encoding.
-//! The same entry codec is the payload format of the segmented on-disk
-//! log ([`crate::segment`]).
-//!
-//! Layout: `"PPDL"` magic, a format-version byte, the process count,
-//! then each process's entry list. Every integer is an unsigned LEB128
-//! varint; signed values are zigzag-mapped first.
-//!
-//! Version 2 (current) prefixes each process's entry blob with its
-//! **byte length**, so a decoder can locate every process's records
-//! without parsing its predecessors' — that's what lets
-//! [`decode_par`] fan per-process decoding out across a thread pool.
-//! Version 1 streams (no length prefixes) still decode, sequentially.
+//! This is the payload encoding of the segmented on-disk log
+//! ([`crate::segment`]). Every integer is an unsigned LEB128 varint; signed
+//! values are zigzag-mapped first. Entries carry no framing of their
+//! own: segment blocks hold whole entries back to back, and the
+//! segment footer records where each one starts.
 
 use crate::entry::LogEntry;
-use crate::store::LogStore;
 use ppd_analysis::EBlockId;
-use ppd_lang::{ProcId, StmtId, Value, VarId};
+use ppd_lang::{StmtId, Value, VarId};
 use std::fmt;
-
-const MAGIC: &[u8; 4] = b"PPDL";
-/// The version written by [`encode`]: per-process length-prefixed
-/// frames enabling parallel decode.
-const VERSION: u8 = 2;
-/// Oldest version [`decode`] still reads (unframed, sequential only).
-const VERSION_UNFRAMED: u8 = 1;
 
 const TAG_PRELOG: u8 = 0;
 const TAG_POSTLOG: u8 = 1;
@@ -44,10 +25,6 @@ const VAL_ARRAY: u8 = 1;
 /// What went wrong while decoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinErrorKind {
-    /// The input does not start with the `PPDL` magic.
-    BadMagic,
-    /// The format version byte is not one this build understands.
-    BadVersion(u8),
     /// An entry or value tag byte was not recognized.
     BadTag(u8),
     /// The input ended mid-record.
@@ -56,8 +33,7 @@ pub enum BinErrorKind {
 
 /// A binary decoding failure: the failure kind, the absolute byte
 /// offset in the decoded input where it was detected, and — when the
-/// failing bytes belong to a per-process frame or an on-disk segment —
-/// which one.
+/// failing bytes belong to an on-disk segment — which one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BinError {
     /// The failure itself.
@@ -65,8 +41,7 @@ pub struct BinError {
     /// Absolute byte offset (into the full input blob or segment file)
     /// at which decoding failed.
     pub offset: usize,
-    /// Enclosing container, e.g. `process 2 frame` or a segment file
-    /// name, when known.
+    /// Enclosing container (a segment file name), when known.
     pub context: Option<String>,
 }
 
@@ -85,8 +60,6 @@ impl BinError {
 impl fmt::Display for BinError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.kind {
-            BinErrorKind::BadMagic => write!(f, "not a PPDL binary log (bad magic)")?,
-            BinErrorKind::BadVersion(v) => write!(f, "unsupported binary log version {v}")?,
             BinErrorKind::BadTag(t) => write!(f, "unknown record tag {t}")?,
             BinErrorKind::UnexpectedEof => write!(f, "truncated binary log")?,
         }
@@ -238,8 +211,7 @@ fn get_values(r: &mut Reader<'_>) -> Result<Vec<(VarId, Value)>, BinError> {
     Ok(vs)
 }
 
-/// Appends one entry in the tagged wire format. Shared by the whole-store
-/// encoding and the segment writer.
+/// Appends one entry in the tagged wire format.
 pub(crate) fn put_entry(out: &mut Vec<u8>, e: &LogEntry) {
     match e {
         LogEntry::Prelog { eblock, instance, values, time } => {
@@ -328,172 +300,25 @@ pub(crate) fn get_entry(r: &mut Reader<'_>) -> Result<LogEntry, BinError> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Store framing
-// ---------------------------------------------------------------------
-
-/// Encodes a whole store (version 2: length-prefixed process frames).
-pub fn encode(store: &LogStore) -> Vec<u8> {
-    let mut span = ppd_obs::span("log", "encode");
-    span.arg("procs", store.process_count());
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    out.push(VERSION);
-    put_varint(&mut out, store.process_count() as u64);
-    let mut frame = Vec::new();
-    for p in 0..store.process_count() {
-        let entries = &store.log(ProcId(p as u32)).entries;
-        frame.clear();
-        for e in entries {
-            put_entry(&mut frame, e);
-        }
-        put_varint(&mut out, entries.len() as u64);
-        put_varint(&mut out, frame.len() as u64);
-        out.extend_from_slice(&frame);
-    }
-    out
-}
-
-/// Decodes a store (sequentially; reads versions 1 and 2).
-///
-/// # Errors
-///
-/// Returns a [`BinError`] on malformed input, carrying the absolute
-/// byte offset of the failure and, for version-2 inputs, which process
-/// frame it fell in.
-pub fn decode(bytes: &[u8]) -> Result<LogStore, BinError> {
-    decode_with_jobs(bytes, 1)
-}
-
-/// Decodes a store, fanning per-process frames out across a
-/// work-stealing pool of `jobs` threads. Version-2 inputs decode in
-/// parallel; version-1 inputs (no frame lengths) fall back to the
-/// sequential path. The result is identical to [`decode`] — frames are
-/// independent and reassembled in process order.
-///
-/// # Errors
-///
-/// Returns the first (by process order) [`BinError`] on malformed
-/// input.
-pub fn decode_par(bytes: &[u8], jobs: usize) -> Result<LogStore, BinError> {
-    decode_with_jobs(bytes, jobs)
-}
-
-fn decode_with_jobs(bytes: &[u8], jobs: usize) -> Result<LogStore, BinError> {
-    let mut span = ppd_obs::span("log", "decode");
-    span.arg("bytes", bytes.len());
-    span.arg("jobs", jobs);
-    let mut r = Reader::new(bytes);
-    for &m in MAGIC {
-        let at = r.offset();
-        if r.byte()? != m {
-            return Err(BinError::new(BinErrorKind::BadMagic, at));
-        }
-    }
-    let at = r.offset();
-    let version = match r.byte()? {
-        v @ (VERSION_UNFRAMED | VERSION) => v,
-        v => return Err(BinError::new(BinErrorKind::BadVersion(v), at)),
-    };
-    let procs = r.varint()? as usize;
-
-    if version == VERSION_UNFRAMED {
-        // v1: entries stream back to back; only a sequential scan can
-        // find the process boundaries.
-        let mut store = LogStore::new(procs);
-        for p in 0..procs {
-            let n = r.varint()? as usize;
-            for _ in 0..n {
-                let e = get_entry(&mut r)
-                    .map_err(|err| err.with_context(format!("process {p} entries")))?;
-                store.push(ProcId(p as u32), e);
-            }
-        }
-        return Ok(store);
-    }
-
-    // v2: slice out each process's frame first…
-    let mut frames: Vec<(usize, usize, usize, &[u8])> = Vec::with_capacity(procs);
-    for p in 0..procs {
-        let n = r.varint()? as usize;
-        let len = r.varint()? as usize;
-        let start = r.offset();
-        let end = start.checked_add(len).ok_or_else(|| {
-            BinError::new(BinErrorKind::UnexpectedEof, start)
-                .with_context(format!("process {p} frame header"))
-        })?;
-        let frame = bytes.get(start..end).ok_or_else(|| {
-            BinError::new(BinErrorKind::UnexpectedEof, bytes.len())
-                .with_context(format!("process {p} frame"))
-        })?;
-        r = Reader::with_base(&bytes[end..], end);
-        frames.push((p, n, start, frame));
-    }
-    // …then decode the frames, concurrently when asked to.
-    let decoded: Vec<Result<Vec<LogEntry>, BinError>> = if jobs <= 1 || procs <= 1 {
-        frames.iter().map(|&(p, n, base, frame)| decode_frame(frame, n, base, p)).collect()
-    } else {
-        use rayon::prelude::*;
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(jobs)
-            .build()
-            .expect("thread pool build is infallible");
-        pool.install(|| {
-            frames.par_iter().map(|&(p, n, base, frame)| decode_frame(frame, n, base, p)).collect()
-        })
-    };
-    let mut store = LogStore::new(procs);
-    for (p, entries) in decoded.into_iter().enumerate() {
-        for e in entries? {
-            store.push(ProcId(p as u32), e);
-        }
-    }
-    Ok(store)
-}
-
-/// Decodes one process frame. `base` is the frame's absolute byte
-/// offset and `proc` its process number; both flow into any error.
-fn decode_frame(
-    frame: &[u8],
-    count: usize,
-    base: usize,
-    proc: usize,
-) -> Result<Vec<LogEntry>, BinError> {
-    let mut r = Reader::with_base(frame, base);
-    let mut entries = Vec::with_capacity(count.min(1 << 16));
-    for _ in 0..count {
-        entries
-            .push(get_entry(&mut r).map_err(|e| e.with_context(format!("process {proc} frame")))?);
-    }
-    Ok(entries)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample_store() -> LogStore {
-        let mut s = LogStore::new(2);
-        s.push(
-            ProcId(0),
+    /// One entry of every kind, with extreme and array values.
+    fn sample_entries() -> Vec<LogEntry> {
+        vec![
             LogEntry::Prelog {
                 eblock: EBlockId(0),
                 instance: 0,
                 values: vec![(VarId(0), Value::Int(-7)), (VarId(3), Value::Array(vec![1, -2, 3]))],
                 time: 1,
             },
-        );
-        s.push(ProcId(0), LogEntry::Input { value: i64::MIN, time: 2 });
-        s.push(
-            ProcId(0),
+            LogEntry::Input { value: i64::MIN, time: 2 },
             LogEntry::SharedSnapshot {
                 at: Some(StmtId(9)),
                 values: vec![(VarId(1), Value::Int(0))],
                 time: 3,
             },
-        );
-        s.push(
-            ProcId(0),
             LogEntry::Postlog {
                 eblock: EBlockId(0),
                 instance: 0,
@@ -501,133 +326,58 @@ mod tests {
                 ret: Some(Value::Int(-1)),
                 time: 4,
             },
-        );
-        s.push(ProcId(1), LogEntry::Receive { value: 99, time: 5 });
-        s.push(ProcId(1), LogEntry::ElementRead { value: -99, time: 6 });
-        s.push(ProcId(1), LogEntry::SharedSnapshot { at: None, values: vec![], time: 7 });
-        s
+            LogEntry::Receive { value: 99, time: 5 },
+            LogEntry::ElementRead { value: -99, time: 6 },
+            LogEntry::SharedSnapshot { at: None, values: vec![], time: 7 },
+        ]
     }
 
-    #[test]
-    fn binary_round_trip_preserves_every_entry() {
-        let s = sample_store();
-        let bytes = encode(&s);
-        let back = decode(&bytes).expect("decodes");
-        assert_eq!(back.process_count(), s.process_count());
-        for p in 0..s.process_count() {
-            let pid = ProcId(p as u32);
-            assert_eq!(back.log(pid).entries, s.log(pid).entries);
-        }
-    }
-
-    #[test]
-    fn binary_is_denser_than_json() {
-        let s = sample_store();
-        assert!(encode(&s).len() < s.to_json().unwrap().len());
-    }
-
-    /// Encodes in the retired v1 framing (entry streams with no byte
-    /// lengths) so compatibility stays covered.
-    fn encode_v1(store: &LogStore) -> Vec<u8> {
+    fn encode_all(entries: &[LogEntry]) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.push(VERSION_UNFRAMED);
-        put_varint(&mut out, store.process_count() as u64);
-        for p in 0..store.process_count() {
-            let entries = &store.log(ProcId(p as u32)).entries;
-            put_varint(&mut out, entries.len() as u64);
-            for e in entries {
-                put_entry(&mut out, e);
-            }
+        for e in entries {
+            put_entry(&mut out, e);
         }
         out
     }
 
-    fn stores_equal(a: &LogStore, b: &LogStore) {
-        assert_eq!(a.process_count(), b.process_count());
-        for p in 0..a.process_count() {
-            let pid = ProcId(p as u32);
-            assert_eq!(a.log(pid).entries, b.log(pid).entries);
-        }
+    /// Decodes `n` entries, tagging any error with `context` as the
+    /// segment reader does.
+    fn decode_all(bytes: &[u8], base: usize, n: usize) -> Result<Vec<LogEntry>, BinError> {
+        let mut r = Reader::with_base(bytes, base);
+        (0..n).map(|_| get_entry(&mut r).map_err(|e| e.with_context("p0001-s000000.seg"))).collect()
     }
 
     #[test]
-    fn v1_streams_still_decode() {
-        let s = sample_store();
-        let v1 = encode_v1(&s);
-        stores_equal(&decode(&v1).expect("v1 decodes"), &s);
-        // The parallel entry point degrades to the sequential path.
-        stores_equal(&decode_par(&v1, 8).expect("v1 decodes in par API"), &s);
+    fn binary_round_trip_preserves_every_entry() {
+        let entries = sample_entries();
+        let bytes = encode_all(&entries);
+        assert_eq!(decode_all(&bytes, 0, entries.len()).expect("decodes"), entries);
     }
 
     #[test]
-    fn parallel_decode_matches_sequential() {
-        let s = sample_store();
-        let bytes = encode(&s);
-        for jobs in [1, 2, 8] {
-            stores_equal(&decode_par(&bytes, jobs).expect("decodes"), &s);
-        }
-    }
-
-    #[test]
-    fn truncated_frame_is_rejected() {
-        let mut bytes = encode(&sample_store());
+    fn truncated_entry_is_rejected_at_the_cut() {
+        let entries = sample_entries();
+        let mut bytes = encode_all(&entries);
         bytes.truncate(bytes.len() - 1);
-        let err = decode_par(&bytes, 4).unwrap_err();
+        let err = decode_all(&bytes, 100, entries.len()).unwrap_err();
         assert_eq!(err.kind, BinErrorKind::UnexpectedEof);
-        assert_eq!(err.offset, bytes.len(), "offset names the truncation point");
-        assert_eq!(err.context.as_deref(), Some("process 1 frame"));
+        assert_eq!(err.offset, 100 + bytes.len(), "offset names the truncation point");
+        assert_eq!(err.context.as_deref(), Some("p0001-s000000.seg"));
+        assert_eq!(decode_all(&[], 0, 1).unwrap_err().kind, BinErrorKind::UnexpectedEof);
     }
 
     #[test]
-    fn decode_rejects_garbage() {
-        assert_eq!(decode(b"nope").unwrap_err().kind, BinErrorKind::BadMagic);
-        assert_eq!(decode(b"nope").unwrap_err().offset, 0);
-        assert_eq!(decode(b"PPDL").unwrap_err().kind, BinErrorKind::UnexpectedEof);
-        assert_eq!(decode(b"PPDL\x09").unwrap_err().kind, BinErrorKind::BadVersion(9));
-        assert_eq!(decode(b"PPDL\x09").unwrap_err().offset, 4);
-        let mut ok = encode(&sample_store());
-        ok.truncate(ok.len() - 1);
-        assert_eq!(decode(&ok).unwrap_err().kind, BinErrorKind::UnexpectedEof);
-    }
-
-    /// Finds the absolute byte offset where process `proc`'s v2 frame
-    /// payload begins, by walking the framing exactly as the decoder
-    /// does.
-    fn frame_start(bytes: &[u8], proc: usize) -> usize {
-        let mut r = Reader::new(bytes);
-        for _ in 0..5 {
-            r.byte().unwrap(); // magic + version
-        }
-        let procs = r.varint().unwrap() as usize;
-        assert!(proc < procs);
-        let mut start = 0;
-        for p in 0..=proc {
-            r.varint().unwrap(); // entry count
-            let len = r.varint().unwrap() as usize;
-            start = r.offset();
-            if p < proc {
-                r = Reader::with_base(&bytes[start + len..], start + len);
-            }
-        }
-        start
-    }
-
-    #[test]
-    fn bit_flipped_entry_reports_offset_and_frame() {
-        let s = sample_store();
-        let mut bytes = encode(&s);
-        // Corrupt the first entry tag of process 1's frame.
-        let at = frame_start(&bytes, 1);
+    fn bit_flipped_entry_reports_offset_and_segment() {
+        let entries = sample_entries();
+        let mut bytes = encode_all(&entries);
+        // Corrupt the tag of the Receive entry (the fifth).
+        let at = encode_all(&entries[..4]).len();
         bytes[at] ^= 0xE0;
-        let err = decode(&bytes).unwrap_err();
+        let err = decode_all(&bytes, 0, entries.len()).unwrap_err();
         assert_eq!(err.kind, BinErrorKind::BadTag(TAG_RECEIVE ^ 0xE0));
         assert_eq!(err.offset, at, "error pinpoints the flipped byte");
-        assert_eq!(err.context.as_deref(), Some("process 1 frame"));
         let msg = err.to_string();
         assert!(msg.contains(&format!("at byte {at}")), "{msg}");
-        assert!(msg.contains("process 1 frame"), "{msg}");
-        // The parallel path reports the same error.
-        assert_eq!(decode_par(&bytes, 4).unwrap_err(), err);
+        assert!(msg.contains("p0001-s000000.seg"), "{msg}");
     }
 }

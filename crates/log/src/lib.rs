@@ -13,15 +13,16 @@
 //! the nested-interval postlog substitution of §5.2 / Figure 5.2. The
 //! [`IntervalIndex`] is built once per execution by a single-pass stack
 //! matching of prelog/postlog pairs and serves all interval queries in
-//! O(1) amortized time; [`binio`] adds a compact binary serialization
-//! next to the JSON one.
+//! O(1) amortized time.
 //!
-//! For out-of-core logs, [`segment`] defines an append-only segmented
-//! on-disk format whose CRC-guarded footers carry counts, offsets and a
-//! structural digest: [`SegmentedLog`] opens a directory by `mmap` +
-//! footer decode (no full rescan — the [`IntervalIndex`] rebuilds from
-//! digests), and decodes a process's entries lazily from the mapped
-//! bytes. [`LogSource`] is the common query surface over both backings.
+//! A log persists in exactly one form: [`segment`]'s append-only
+//! segmented directory, whose CRC-guarded footers carry counts, offsets
+//! and a structural digest, and whose block-framed payloads hold
+//! entries in the [`binio`] wire codec. [`SegmentedLog`] opens a
+//! directory by `mmap` + footer decode (no full rescan — the
+//! [`IntervalIndex`] rebuilds from digests) and decodes a process's
+//! entries lazily from the mapped bytes. [`LogStore`] is the one query
+//! surface over both the in-memory and the segment-backed log.
 //!
 //! ## Example
 //!
@@ -44,7 +45,6 @@ pub mod entry;
 pub mod index;
 pub mod mmap;
 pub mod segment;
-pub mod source;
 pub mod store;
 
 pub use binio::{BinError, BinErrorKind};
@@ -55,5 +55,4 @@ pub use segment::{
     SegmentWriter, SegmentedLog, SinkReport, VerifyReport, DEFAULT_BLOCK_BYTES,
     DEFAULT_SEGMENT_BYTES,
 };
-pub use source::LogSource;
 pub use store::{IntervalRef, LogCursor, LogStore, ProcessLog};

@@ -16,30 +16,30 @@
 //!
 //! ```text
 //! ┌──────────────────────────────────────────────────────────────┐
-//! │ header   "PPDS" ver  proc  seq  base_seq          (varints)  │
-//! │ payload  v1: entry … entry       (binio tagged wire format)  │
-//! │          v2: lzb frame … lzb frame   (whole entries per      │
-//! │              frame; raw or compressed, checksummed)          │
+//! │ header   "PPDS" ver=2  proc  seq  base_seq        (varints)  │
+//! │ payload  lzb frame … lzb frame   (whole binio-encoded        │
+//! │          entries per frame; raw or compressed, checksummed)  │
 //! │ footer   payload_crc:u32le                                   │
 //! │          entry_count payload_len logical_bytes               │
 //! │          counts[6] min_time max_time                         │
 //! │          offsets (delta varints)  digest (pre/postlog events)│
-//! │          v2: block table (uncomp_len stored_len per block)   │
+//! │          block table (uncomp_len stored_len per block)       │
 //! │ trailer  footer_len:u32le  footer_crc:u32le  "PPDF"          │
 //! └──────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! **Version 1** stores the payload raw. **Version 2** splits the
-//! payload into fixed-target blocks (~[`DEFAULT_BLOCK_BYTES`]
-//! uncompressed, whole entries only) and frames each independently
-//! with the vendored `lzb` compressor — either actually compressed or
-//! through the raw escape, so incompressible data costs at most a few
-//! framing bytes. The footer's block table maps uncompressed offsets
+//! The payload is split into fixed-target blocks (~[`DEFAULT_BLOCK_BYTES`]
+//! uncompressed, whole entries only), each framed independently with
+//! the vendored `lzb` compressor — either actually compressed
+//! ([`SegmentFormat::V2Compressed`]) or through the raw escape
+//! ([`SegmentFormat::V2Raw`]), so incompressible data costs at most a
+//! few framing bytes. The footer's block table maps uncompressed offsets
 //! to file offsets; entry offsets stay *uncompressed*-relative, so a
 //! range query binary-searches the table and decompresses exactly the
 //! blocks it needs ([`SegmentedLog::entries_in_range`]), while bulk
 //! paths (`verify`, preload) decompress segments in parallel over the
-//! vendored work-stealing pool.
+//! vendored work-stealing pool. This is the only on-disk form of a log:
+//! a header or manifest carrying any other version is refused.
 //!
 //! Two CRC32s (IEEE) guard a segment, split so that open-time cost is
 //! proportional to the *footer*, not the log: the trailer's
@@ -55,10 +55,9 @@
 //! A segment without a valid trailer is **unsealed**. Since the writer
 //! flushes sealed frames incrementally ([`SegmentWriter::flush`]), an
 //! unsealed final segment is not garbage — it is the live tail of a
-//! run that is still going (or was killed mid-flush). Open scans it
-//! record-by-record (v1) or checksummed-frame-by-frame (v2) to the
-//! last valid entry and serves the recovered prefix like any other
-//! entries; the scan position is kept as a per-segment **high-water
+//! run that is still going (or was killed mid-flush). Open walks its
+//! checksummed frames to the last valid one and serves the recovered
+//! prefix like any other entries; the scan position is kept as a per-segment **high-water
 //! mark** so [`SegmentedLog::refresh`] can cheaply re-open a directory
 //! a still-running program is appending to: sealed segments are reused
 //! by `(proc, seq)`, the tail scan resumes where it left off, and the
@@ -73,7 +72,6 @@ use crate::mmap::Mapping;
 use crate::store::{LogStore, ProcessLog};
 use ppd_lang::ProcId;
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::io::Write as _;
@@ -83,15 +81,14 @@ use std::sync::{Arc, OnceLock};
 
 const SEG_MAGIC: &[u8; 4] = b"PPDS";
 const FOOT_MAGIC: &[u8; 4] = b"PPDF";
-/// The original raw-payload segment version.
-pub const SEGMENT_VERSION_V1: u8 = 1;
-/// Current segment version: block-framed payloads (raw or compressed).
+/// The segment (and manifest) version: block-framed payloads, raw or
+/// compressed.
 pub const SEGMENT_VERSION: u8 = 2;
 /// footer_len (4) + footer_crc (4) + "PPDF" (4).
 const TRAILER_LEN: usize = 12;
 /// Default payload capacity before a segment seals.
 pub const DEFAULT_SEGMENT_BYTES: usize = 64 * 1024;
-/// Target uncompressed bytes per v2 payload block. Effective block
+/// Target uncompressed bytes per payload block. Effective block
 /// size is `min(capacity, DEFAULT_BLOCK_BYTES)`.
 pub const DEFAULT_BLOCK_BYTES: usize = 256 * 1024;
 /// The directory manifest file name.
@@ -221,8 +218,6 @@ struct Manifest {
 /// How [`SegmentWriter`] lays payload bytes on disk.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SegmentFormat {
-    /// Version-1 raw payloads (back-compat writer, mainly for tests).
-    V1,
     /// Version-2 block framing through the raw escape: walkable,
     /// checksummed frames without the compression cost.
     #[default]
@@ -232,14 +227,6 @@ pub enum SegmentFormat {
 }
 
 impl SegmentFormat {
-    /// The header/manifest version byte this format writes.
-    pub fn version(self) -> u8 {
-        match self {
-            SegmentFormat::V1 => SEGMENT_VERSION_V1,
-            _ => SEGMENT_VERSION,
-        }
-    }
-
     /// Whether payload blocks go through the lzb matcher.
     pub fn compressed(self) -> bool {
         self == SegmentFormat::V2Compressed
@@ -264,8 +251,8 @@ pub struct VerifyReport {
     pub segments: usize,
     /// Entries decoded and checked against footer metadata.
     pub entries: u64,
-    /// Entries served from recovered unsealed tails (checksummed at
-    /// scan time for v2, best-effort for v1 — not re-verified here).
+    /// Entries served from recovered unsealed tails (checksummed frame
+    /// by frame at scan time — not re-verified here).
     pub recovered: u64,
     /// Recovery warnings carried over from open (recovered or dropped
     /// unsealed tails).
@@ -303,7 +290,7 @@ pub(crate) struct DigestEvent {
     pub(crate) time: u64,
 }
 
-/// One v2 payload block: where its uncompressed bytes fall in the
+/// One payload block: where its uncompressed bytes fall in the
 /// logical payload and where its stored frame falls in the file
 /// (relative to the payload start).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -324,7 +311,7 @@ pub struct BlockMeta {
 pub struct SegmentMeta {
     /// File name within the log directory.
     pub file: String,
-    /// Segment format version (1 = raw payload, 2 = framed blocks).
+    /// Segment format version (always [`SEGMENT_VERSION`]).
     pub version: u8,
     /// Owning process.
     pub proc: u32,
@@ -335,8 +322,7 @@ pub struct SegmentMeta {
     pub base_seq: u64,
     /// Entries in the payload.
     pub entry_count: u64,
-    /// Uncompressed payload byte length (equals the stored length for
-    /// version 1).
+    /// Uncompressed payload byte length.
     pub payload_len: u64,
     /// Stored payload byte length in the file.
     pub stored_len: u64,
@@ -357,7 +343,7 @@ pub struct SegmentMeta {
     offsets: Vec<u64>,
     /// Prelog/postlog digest, in entry order.
     digest: Vec<DigestEvent>,
-    /// v2 block table (empty for version 1).
+    /// Block table, in payload order.
     blocks: Vec<BlockMeta>,
 }
 
@@ -372,12 +358,12 @@ impl SegmentMeta {
         self.offsets.get(i).copied()
     }
 
-    /// The v2 block table (empty for version-1 segments).
+    /// The block table, in payload order.
     pub fn blocks(&self) -> &[BlockMeta] {
         &self.blocks
     }
 
-    /// Number of stored payload blocks (0 for version-1 segments).
+    /// Number of stored payload blocks.
     pub fn block_count(&self) -> usize {
         self.blocks.len()
     }
@@ -395,6 +381,13 @@ fn parse_file_name(name: &str) -> Option<(u32, u64)> {
     Some((proc.parse().ok()?, seq.parse().ok()?))
 }
 
+/// The version byte of a segment header this build does not read, if
+/// `bytes` start with one. Such a file is refused outright — it is
+/// another format, never the crash artifact a live-tail scan recovers.
+fn foreign_version(bytes: &[u8]) -> Option<u8> {
+    bytes.get(4).copied().filter(|&v| bytes.starts_with(SEG_MAGIC) && v != SEGMENT_VERSION)
+}
+
 /// Parses header + footer of one sealed segment. `Err(detail)` means
 /// the bytes are not a sealed segment (the caller decides whether that
 /// is a recoverable unsealed tail or hard corruption).
@@ -405,9 +398,8 @@ fn parse_segment(file: &str, bytes: &[u8]) -> Result<SegmentMeta, String> {
     if &bytes[..4] != SEG_MAGIC {
         return Err("bad segment magic".into());
     }
-    let version = bytes[4];
-    if version != SEGMENT_VERSION_V1 && version != SEGMENT_VERSION {
-        return Err(format!("unsupported segment version {version}"));
+    if let Some(v) = foreign_version(bytes) {
+        return Err(format!("unsupported segment version {v}"));
     }
     let trailer = &bytes[bytes.len() - TRAILER_LEN..];
     if &trailer[8..12] != FOOT_MAGIC {
@@ -449,11 +441,6 @@ fn parse_segment(file: &str, bytes: &[u8]) -> Result<SegmentMeta, String> {
     let mut r = Reader::with_base(&bytes[footer_start + 4..body_end], footer_start + 4);
     let entry_count = r.varint().map_err(err_str)?;
     let payload_len = r.varint().map_err(err_str)?;
-    if version == SEGMENT_VERSION_V1 && payload_start + payload_len as usize != footer_start {
-        return Err(format!(
-            "payload length {payload_len} inconsistent with footer position {footer_start}"
-        ));
-    }
     let logical_bytes = r.varint().map_err(err_str)?;
     let mut counts = [0u64; 6];
     for c in &mut counts {
@@ -488,53 +475,47 @@ fn parse_segment(file: &str, bytes: &[u8]) -> Result<SegmentMeta, String> {
             time: r.varint().map_err(err_str)?,
         });
     }
-    // v2: the block table maps uncompressed payload offsets to stored
-    // frame offsets, so readers can seek without decompressing the
-    // whole payload.
-    let mut blocks = Vec::new();
-    let stored_len = if version >= SEGMENT_VERSION {
-        let n_blocks = r.varint().map_err(err_str)? as usize;
-        let mut uoff = 0u64;
-        let mut soff = 0u64;
-        blocks.reserve(n_blocks.min(1 << 16));
-        for _ in 0..n_blocks {
-            let ulen = r.varint().map_err(err_str)?;
-            let slen = r.varint().map_err(err_str)?;
-            blocks.push(BlockMeta {
-                uncomp_off: uoff,
-                uncomp_len: ulen,
-                stored_off: soff,
-                stored_len: slen,
-            });
-            uoff += ulen;
-            soff += slen;
-        }
-        if uoff != payload_len {
-            return Err(format!(
-                "block table uncompressed total {uoff} disagrees with payload length {payload_len}"
-            ));
-        }
-        if payload_start + soff as usize != footer_start {
-            return Err(format!(
-                "block table stored total {soff} inconsistent with footer position {footer_start}"
-            ));
-        }
-        soff
-    } else {
-        payload_len
-    };
+    // The block table maps uncompressed payload offsets to stored frame
+    // offsets, so readers can seek without decompressing the whole
+    // payload.
+    let n_blocks = r.varint().map_err(err_str)? as usize;
+    let mut blocks = Vec::with_capacity(n_blocks.min(1 << 16));
+    let mut uoff = 0u64;
+    let mut soff = 0u64;
+    for _ in 0..n_blocks {
+        let ulen = r.varint().map_err(err_str)?;
+        let slen = r.varint().map_err(err_str)?;
+        blocks.push(BlockMeta {
+            uncomp_off: uoff,
+            uncomp_len: ulen,
+            stored_off: soff,
+            stored_len: slen,
+        });
+        uoff += ulen;
+        soff += slen;
+    }
+    if uoff != payload_len {
+        return Err(format!(
+            "block table uncompressed total {uoff} disagrees with payload length {payload_len}"
+        ));
+    }
+    if payload_start + soff as usize != footer_start {
+        return Err(format!(
+            "block table stored total {soff} inconsistent with footer position {footer_start}"
+        ));
+    }
     if r.remaining() != 0 {
         return Err(format!("{} trailing bytes after footer body", r.remaining()));
     }
     Ok(SegmentMeta {
         file: file.to_string(),
-        version,
+        version: SEGMENT_VERSION,
         proc,
         seq,
         base_seq,
         entry_count,
         payload_len,
-        stored_len,
+        stored_len: soff,
         logical_bytes,
         counts,
         min_time,
@@ -569,14 +550,14 @@ struct ProcWriter {
     seq: u64,
     /// Global entry index of the current segment's first entry.
     base_seq: u64,
-    /// Header + *stored* payload bytes accumulated so far (raw entries
-    /// for v1, sealed lzb frames for v2).
+    /// Header + *stored* payload bytes (sealed lzb frames) accumulated
+    /// so far.
     buf: Vec<u8>,
-    /// v2: uncompressed entry bytes waiting to be framed as a block.
+    /// Uncompressed entry bytes waiting to be framed as a block.
     block_buf: Vec<u8>,
-    /// v2: sealed `(uncompressed_len, stored_len)` per block.
+    /// Sealed `(uncompressed_len, stored_len)` per block.
     blocks: Vec<(u64, u64)>,
-    /// v2: uncompressed payload bytes already framed into `buf`.
+    /// Uncompressed payload bytes already framed into `buf`.
     uncomp_len: u64,
     payload_start: usize,
     /// Bytes of `buf` already flushed to the segment file.
@@ -596,16 +577,15 @@ struct ProcWriter {
 /// one at a time (the runtime calls it from every log write), and a
 /// segment is sealed — footer built, CRC stamped, file flushed — as
 /// soon as its payload reaches capacity, **while the program is still
-/// running**. In the v2 formats each segment's payload is framed into
-/// blocks as it grows, and [`SegmentWriter::flush`] pushes the sealed
-/// frames to disk so a live reader can recover them before the segment
-/// seals. [`SegmentWriter::finish`] seals the partial tails and
+/// running**. Each segment's payload is framed into blocks as it
+/// grows, and [`SegmentWriter::flush`] pushes the sealed frames to disk
+/// so a live reader can recover them before the segment seals. [`SegmentWriter::finish`] seals the partial tails and
 /// (re)writes the manifest.
 #[derive(Debug)]
 pub struct SegmentWriter {
     dir: PathBuf,
     capacity: usize,
-    /// Uncompressed bytes per v2 block.
+    /// Uncompressed bytes per payload block.
     block_bytes: usize,
     format: SegmentFormat,
     procs: Vec<ProcWriter>,
@@ -662,8 +642,8 @@ impl SegmentWriter {
         Ok(w)
     }
 
-    /// Overrides the uncompressed block target (v2 formats only) —
-    /// used by tests and benches to force multi-block segments.
+    /// Overrides the uncompressed block target — used by tests and
+    /// benches to force multi-block segments.
     pub fn with_block_bytes(mut self, bytes: usize) -> SegmentWriter {
         self.block_bytes = bytes.max(1);
         self
@@ -672,7 +652,7 @@ impl SegmentWriter {
     fn write_manifest(&self, processes: usize) -> Result<(), SegError> {
         let manifest = Manifest {
             format: "ppd-segmented-log".to_string(),
-            version: self.format.version(),
+            version: SEGMENT_VERSION,
             processes,
         };
         let path = self.dir.join(MANIFEST_NAME);
@@ -683,11 +663,10 @@ impl SegmentWriter {
 
     /// Starts a fresh segment buffer for process `p` (header only).
     fn begin_segment(&mut self, p: usize) {
-        let version = self.format.version();
         let pw = &mut self.procs[p];
         pw.buf.clear();
         pw.buf.extend_from_slice(SEG_MAGIC);
-        pw.buf.push(version);
+        pw.buf.push(SEGMENT_VERSION);
         binio::put_varint(&mut pw.buf, u64::from(p as u32));
         binio::put_varint(&mut pw.buf, pw.seq);
         binio::put_varint(&mut pw.buf, pw.base_seq);
@@ -713,18 +692,12 @@ impl SegmentWriter {
         if self.error.is_some() {
             return;
         }
-        let v1 = self.format == SegmentFormat::V1;
         let capacity = self.capacity;
         let block_bytes = self.block_bytes;
         let p = proc.index();
         let pw = &mut self.procs[p];
-        if v1 {
-            pw.offsets.push((pw.buf.len() - pw.payload_start) as u64);
-            binio::put_entry(&mut pw.buf, e);
-        } else {
-            pw.offsets.push(pw.uncomp_len + pw.block_buf.len() as u64);
-            binio::put_entry(&mut pw.block_buf, e);
-        }
+        pw.offsets.push(pw.uncomp_len + pw.block_buf.len() as u64);
+        binio::put_entry(&mut pw.block_buf, e);
         pw.counts[kind_slot(e)] += 1;
         pw.logical_bytes += e.size_bytes() as u64;
         let t = e.time();
@@ -741,18 +714,14 @@ impl SegmentWriter {
         }
         pw.entries += 1;
         self.report.entries += 1;
-        if v1 {
-            if pw.buf.len() - pw.payload_start >= capacity {
-                self.seal(p, false);
-            }
-        } else if pw.uncomp_len as usize + pw.block_buf.len() >= capacity {
+        if pw.uncomp_len as usize + pw.block_buf.len() >= capacity {
             self.seal(p, false);
         } else if pw.block_buf.len() >= block_bytes {
             self.seal_block(p);
         }
     }
 
-    /// v2: frames the pending uncompressed block into the stored
+    /// Frames the pending uncompressed block into the stored
     /// buffer (compressed, or through the raw escape).
     fn seal_block(&mut self, p: usize) {
         let compress = self.format.compressed();
@@ -795,16 +764,14 @@ impl SegmentWriter {
         }
     }
 
-    /// Flushes every process's stream: pending v2 blocks are framed
+    /// Flushes every process's stream: pending blocks are framed
     /// and all sealed bytes are pushed to disk. After a flush, a
     /// concurrent [`SegmentedLog::open`] (or
     /// [`SegmentedLog::refresh`]) of the directory recovers every
     /// flushed entry from the unsealed live tails.
     pub fn flush(&mut self) {
         for p in 0..self.procs.len() {
-            if self.format != SegmentFormat::V1 {
-                self.seal_block(p);
-            }
+            self.seal_block(p);
             self.flush_buf(p);
         }
     }
@@ -814,13 +781,10 @@ impl SegmentWriter {
     /// every manifest-listed process owns at least one file (an empty
     /// directory entry is indistinguishable from data loss otherwise).
     fn seal(&mut self, p: usize, force: bool) {
-        if self.format != SegmentFormat::V1 {
-            self.seal_block(p);
-        }
+        self.seal_block(p);
         if self.procs[p].entries == 0 && !(force && self.procs[p].seq == 0) {
             return;
         }
-        let v1 = self.format == SegmentFormat::V1;
         let name = segment_file_name(p as u32, self.procs[p].seq);
         let path = self.dir.join(&name);
         let (tail, buf_len) = {
@@ -828,14 +792,12 @@ impl SegmentWriter {
             if pw.min_time == u64::MAX {
                 pw.min_time = 0;
             }
-            let payload_len =
-                if v1 { (pw.buf.len() - pw.payload_start) as u64 } else { pw.uncomp_len };
             let mut footer = Vec::new();
             // Payload crc first (fixed width): covers header + stored
             // payload, i.e. everything already in `pw.buf`.
             footer.extend_from_slice(&crc32(&pw.buf).to_le_bytes());
             binio::put_varint(&mut footer, pw.entries);
-            binio::put_varint(&mut footer, payload_len);
+            binio::put_varint(&mut footer, pw.uncomp_len);
             binio::put_varint(&mut footer, pw.logical_bytes);
             for c in pw.counts {
                 binio::put_varint(&mut footer, c);
@@ -858,12 +820,10 @@ impl SegmentWriter {
                 binio::put_varint(&mut footer, ev.instance);
                 binio::put_varint(&mut footer, ev.time);
             }
-            if !v1 {
-                binio::put_varint(&mut footer, pw.blocks.len() as u64);
-                for &(ulen, slen) in &pw.blocks {
-                    binio::put_varint(&mut footer, ulen);
-                    binio::put_varint(&mut footer, slen);
-                }
+            binio::put_varint(&mut footer, pw.blocks.len() as u64);
+            for &(ulen, slen) in &pw.blocks {
+                binio::put_varint(&mut footer, ulen);
+                binio::put_varint(&mut footer, slen);
             }
             let footer_crc = crc32(&footer);
             let mut tail = footer;
@@ -978,14 +938,12 @@ pub fn write_store_with(
 #[derive(Debug, Clone)]
 pub struct RecoveredTail {
     file: String,
-    version: u8,
     base_seq: u64,
     entries: Vec<LogEntry>,
     digest: Vec<DigestEvent>,
     counts: [u64; 6],
     logical_bytes: u64,
-    /// File offset just past the last fully recovered record (an entry
-    /// boundary for v1, a frame boundary for v2).
+    /// File offset just past the last fully recovered frame.
     scanned_bytes: usize,
     /// File length at scan time — a cheap "did it grow" probe.
     file_len: u64,
@@ -1042,8 +1000,8 @@ impl RecoveredTail {
     }
 }
 
-/// Scans an unsealed tail segment record-by-record to the last valid
-/// entry. `Err(why)` means the file cannot be trusted at all (bad
+/// Scans an unsealed tail segment frame-by-frame to the last valid
+/// frame. `Err(why)` means the file cannot be trusted at all (bad
 /// header, or it does not continue the sealed chain) and must be
 /// dropped. `resume` restarts an earlier scan from its high-water mark
 /// instead of the payload start.
@@ -1062,9 +1020,8 @@ fn scan_tail(
     if &bytes[..4] != SEG_MAGIC {
         return Err("bad segment magic".into());
     }
-    let version = bytes[4];
-    if version != SEGMENT_VERSION_V1 && version != SEGMENT_VERSION {
-        return Err(format!("unsupported segment version {version}"));
+    if let Some(v) = foreign_version(bytes) {
+        return Err(format!("unsupported segment version {v}"));
     }
     let hdr = |e: BinError| format!("header decode failed: {e}");
     let mut h = Reader::with_base(&bytes[5..], 5);
@@ -1082,7 +1039,6 @@ fn scan_tail(
     let mut tail = match resume {
         Some(old)
             if old.file == file
-                && old.version == version
                 && old.scanned_bytes >= payload_start
                 && old.scanned_bytes <= bytes.len() =>
         {
@@ -1090,7 +1046,6 @@ fn scan_tail(
         }
         _ => RecoveredTail {
             file: file.to_string(),
-            version,
             base_seq,
             entries: Vec::new(),
             digest: Vec::new(),
@@ -1103,53 +1058,33 @@ fn scan_tail(
     };
     tail.file_len = bytes.len() as u64;
     tail.detail = unsealed_detail.to_string();
-    if version == SEGMENT_VERSION_V1 {
-        // Raw entry stream: decode until the bytes stop making sense.
-        // v1 has no frame checksums, so guard against the scan running
-        // off the real entries into footer bytes that happen to decode:
-        // logical times are nondecreasing within a process, and a
-        // decoded "entry" that time-travels is garbage.
-        let mut r = Reader::with_base(&bytes[tail.scanned_bytes..], tail.scanned_bytes);
-        let mut last_time = tail.entries.last().map(LogEntry::time).unwrap_or(0);
+    // Framed stream: every frame is checksummed and holds whole
+    // entries, so recovery is exact — walk frames until one is
+    // truncated or fails its crc, decode each in full.
+    let mut data = Vec::new();
+    while tail.scanned_bytes < bytes.len() {
+        let at = tail.scanned_bytes;
+        data.clear();
+        let Ok(consumed) = lzb::decompress_into(&bytes[at..], &mut data) else { break };
+        let mut r = Reader::new(&data);
+        let mut pending = Vec::new();
+        let mut clean = true;
         while r.remaining() > 0 {
             match binio::get_entry(&mut r) {
-                Ok(e) if e.time() >= last_time => {
-                    last_time = e.time();
-                    tail.push_entry(e);
-                    tail.scanned_bytes = r.offset();
-                }
-                _ => break,
-            }
-        }
-    } else {
-        // Framed stream: every frame is checksummed and holds whole
-        // entries, so recovery is exact — walk frames until one is
-        // truncated or fails its crc, decode each in full.
-        let mut data = Vec::new();
-        while tail.scanned_bytes < bytes.len() {
-            let at = tail.scanned_bytes;
-            data.clear();
-            let Ok(consumed) = lzb::decompress_into(&bytes[at..], &mut data) else { break };
-            let mut r = Reader::new(&data);
-            let mut pending = Vec::new();
-            let mut clean = true;
-            while r.remaining() > 0 {
-                match binio::get_entry(&mut r) {
-                    Ok(e) => pending.push(e),
-                    Err(_) => {
-                        clean = false;
-                        break;
-                    }
+                Ok(e) => pending.push(e),
+                Err(_) => {
+                    clean = false;
+                    break;
                 }
             }
-            if !clean {
-                break;
-            }
-            for e in pending {
-                tail.push_entry(e);
-            }
-            tail.scanned_bytes = at + consumed;
         }
+        if !clean {
+            break;
+        }
+        for e in pending {
+            tail.push_entry(e);
+        }
+        tail.scanned_bytes = at + consumed;
     }
     Ok(tail)
 }
@@ -1180,18 +1115,19 @@ pub struct SegmentedLog {
     /// Per process: the recovered unsealed tail, if any.
     tails: Vec<Option<Arc<RecoveredTail>>>,
     warnings: Vec<String>,
-    /// Lazily decoded per-process logs.
-    decoded: Vec<OnceLock<ProcessLog>>,
+    /// Lazily decoded per-process logs — or the decode failure, kept so
+    /// every later touch of a corrupt process reports the same error.
+    decoded: Vec<OnceLock<Result<ProcessLog, SegError>>>,
     /// The footer-built interval index, cached after its first load.
     index_cache: OnceLock<Arc<IntervalIndex>>,
     /// How many entries have been decoded since open — the scan
     /// counter the no-full-rescan acceptance test asserts on.
     entries_decoded: AtomicU64,
-    /// How many v2 payload blocks have been decompressed since open —
+    /// How many payload blocks have been decompressed since open —
     /// the counter the block-seeking tests assert on.
     blocks_decompressed: AtomicU64,
-    /// How many stored payload bytes have been read (mapped v1 slices
-    /// or compressed v2 frames) since open.
+    /// How many stored payload bytes (block frames) have been read
+    /// since open.
     bytes_read: AtomicU64,
     /// Per process, per sealed segment: access-heatmap counters,
     /// parallel to `procs`.
@@ -1289,9 +1225,9 @@ impl SegmentedLog {
         if manifest.format != "ppd-segmented-log" {
             return Err(SegError::Manifest(format!("unknown format `{}`", manifest.format)));
         }
-        if manifest.version != SEGMENT_VERSION_V1 && manifest.version != SEGMENT_VERSION {
+        if manifest.version != SEGMENT_VERSION {
             return Err(SegError::Manifest(format!(
-                "unsupported segmented-log version {}",
+                "unsupported segment version {}",
                 manifest.version
             )));
         }
@@ -1389,7 +1325,9 @@ impl SegmentedLog {
                     }
                     procs[*proc as usize].push(Arc::from(seg));
                 }
-                FileParse::Unsealed(map, detail) if is_proc_tail => {
+                FileParse::Unsealed(map, detail)
+                    if is_proc_tail && foreign_version(&map).is_none() =>
+                {
                     // The live tail (or the flush the writer died in):
                     // scanned for recoverable entries once the sealed
                     // chain below it is validated.
@@ -1634,13 +1572,12 @@ impl SegmentedLog {
         self.entries_decoded.load(Ordering::Relaxed)
     }
 
-    /// How many v2 payload blocks have been decompressed since open.
+    /// How many payload blocks have been decompressed since open.
     pub fn blocks_decompressed(&self) -> u64 {
         self.blocks_decompressed.load(Ordering::Relaxed)
     }
 
-    /// Stored payload bytes read since open (mapped v1 slices and
-    /// compressed v2 frames actually consumed).
+    /// Stored payload bytes (block frames) read since open.
     pub fn bytes_read(&self) -> u64 {
         self.bytes_read.load(Ordering::Relaxed)
     }
@@ -1754,15 +1691,9 @@ impl SegmentedLog {
         old.extend_from_events(streams)
     }
 
-    /// The uncompressed payload of one sealed segment: borrowed
-    /// straight from the mapping for v1, decompressed block-by-block
-    /// for v2.
-    fn segment_payload<'a>(&self, seg: &'a LoadedSegment) -> Result<Cow<'a, [u8]>, SegError> {
-        if seg.meta.version == SEGMENT_VERSION_V1 {
-            let end = seg.meta.payload_start + seg.meta.payload_len as usize;
-            self.note_read(seg, 0, 0, seg.meta.payload_len);
-            return Ok(Cow::Borrowed(&seg.map[seg.meta.payload_start..end]));
-        }
+    /// The uncompressed payload of one sealed segment, decompressed
+    /// block by block.
+    fn segment_payload(&self, seg: &LoadedSegment) -> Result<Vec<u8>, SegError> {
         let mut out = Vec::with_capacity(seg.meta.payload_len as usize);
         let mut at = seg.meta.payload_start;
         for (i, b) in seg.meta.blocks.iter().enumerate() {
@@ -1778,12 +1709,11 @@ impl SegmentedLog {
             at += n;
         }
         self.note_read(seg, 0, seg.meta.blocks.len() as u64, seg.meta.stored_len);
-        Ok(Cow::Owned(out))
+        Ok(out)
     }
 
-    /// Decodes one process's payloads into an entry vector, straight
-    /// from the mapped (v1) or block-decompressed (v2) bytes, with the
-    /// recovered tail appended.
+    /// Decodes one process's payloads into an entry vector from the
+    /// block-decompressed bytes, with the recovered tail appended.
     fn try_decode_proc(&self, proc: ProcId) -> Result<ProcessLog, SegError> {
         let mut span = ppd_obs::span("log", "segment_decode");
         span.arg("proc", proc.index());
@@ -1809,22 +1739,32 @@ impl SegmentedLog {
     }
 
     /// The decoded log of one process, materialized on first use and
-    /// cached. Panics on a decode failure *behind* a valid CRC — that
-    /// would be a writer bug, not an I/O accident; `verify()` reports
-    /// such states gracefully instead.
+    /// cached. Open checks only footer CRCs, so a damaged payload
+    /// surfaces here, as a [`SegError`] naming the segment file; the
+    /// outcome (entries or error) is cached either way.
+    ///
+    /// # Errors
+    ///
+    /// Returns the block-decompression or entry-decode failure of the
+    /// first damaged segment of `proc`.
+    pub fn try_process_log(&self, proc: ProcId) -> Result<&ProcessLog, &SegError> {
+        self.decoded[proc.index()].get_or_init(|| self.try_decode_proc(proc)).as_ref()
+    }
+
+    /// [`try_process_log`](Self::try_process_log) for callers that have
+    /// already seen it succeed for `proc`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `proc`'s payload fails to decode.
     pub fn process_log(&self, proc: ProcId) -> &ProcessLog {
-        self.decoded[proc.index()].get_or_init(|| {
-            self.try_decode_proc(proc)
-                .unwrap_or_else(|e| panic!("segment payload decode failed after CRC pass: {e}"))
-        })
+        self.try_process_log(proc).unwrap_or_else(|e| panic!("segment payload: {e}"))
     }
 
     /// Decodes the half-open global entry range `[start, end)` of one
-    /// process **without** materializing the whole log: for v2
-    /// segments only the blocks covering the range are decompressed
-    /// (binary search over the footer block table), for v1 the mapped
-    /// bytes are sliced by the footer offsets; the recovered tail is
-    /// served from memory.
+    /// process **without** materializing the whole log: only the blocks
+    /// covering the range are decompressed (binary search over the
+    /// footer block table); the recovered tail is served from memory.
     ///
     /// # Errors
     ///
@@ -1857,38 +1797,35 @@ impl SegmentedLog {
             let to_off = seg.meta.offsets.get(hi as usize).copied().unwrap_or(seg.meta.payload_len);
             let decode_err =
                 |err: BinError| SegError::Decode(err.with_context(seg.meta.file.clone()));
-            if seg.meta.version == SEGMENT_VERSION_V1 {
-                let s = seg.meta.payload_start + from_off as usize;
-                let e = seg.meta.payload_start + to_off as usize;
-                let mut r = Reader::new(&seg.map[s..e]);
-                for _ in lo..hi {
-                    out.push(binio::get_entry(&mut r).map_err(decode_err)?);
-                }
-                self.note_read(seg, hi - lo, 0, to_off - from_off);
-            } else {
-                let blocks = seg.meta.blocks();
-                let first = blocks.partition_point(|b| b.uncomp_off + b.uncomp_len <= from_off);
-                let mut data = Vec::new();
-                let start_at = seg.meta.payload_start + blocks[first].stored_off as usize;
-                let mut at = start_at;
-                let mut k = first;
-                while k < blocks.len() && blocks[k].uncomp_off < to_off {
-                    let n = lzb::decompress_into(&seg.map[at..], &mut data).map_err(|e| {
-                        SegError::Corrupt {
-                            file: seg.meta.file.clone(),
-                            detail: format!("block {k}: {e}"),
-                        }
-                    })?;
-                    at += n;
-                    k += 1;
-                }
-                self.note_read(seg, hi - lo, (k - first) as u64, (at - start_at) as u64);
-                let rel = (from_off - blocks[first].uncomp_off) as usize;
-                let rel_end = (to_off - blocks[first].uncomp_off) as usize;
-                let mut r = Reader::new(&data[rel..rel_end]);
-                for _ in lo..hi {
-                    out.push(binio::get_entry(&mut r).map_err(decode_err)?);
-                }
+            let blocks = seg.meta.blocks();
+            let first = blocks.partition_point(|b| b.uncomp_off + b.uncomp_len <= from_off);
+            let mut data = Vec::new();
+            let start_at = seg.meta.payload_start + blocks[first].stored_off as usize;
+            let mut at = start_at;
+            let mut k = first;
+            while k < blocks.len() && blocks[k].uncomp_off < to_off {
+                let n = lzb::decompress_into(&seg.map[at..], &mut data).map_err(|e| {
+                    SegError::Corrupt {
+                        file: seg.meta.file.clone(),
+                        detail: format!("block {k}: {e}"),
+                    }
+                })?;
+                at += n;
+                k += 1;
+            }
+            self.note_read(seg, hi - lo, (k - first) as u64, (at - start_at) as u64);
+            let rel = (from_off - blocks[first].uncomp_off) as usize;
+            let rel_end = (to_off - blocks[first].uncomp_off) as usize;
+            let bytes = data.get(rel..rel_end).ok_or_else(|| SegError::Corrupt {
+                file: seg.meta.file.clone(),
+                detail: format!(
+                    "blocks {first}..{k} decompress to {} bytes, footer offsets need {rel_end}",
+                    data.len()
+                ),
+            })?;
+            let mut r = Reader::new(bytes);
+            for _ in lo..hi {
+                out.push(binio::get_entry(&mut r).map_err(decode_err)?);
             }
             from_disk += hi - lo;
         }
@@ -1907,12 +1844,13 @@ impl SegmentedLog {
     }
 
     /// Decodes every process's payload concurrently on a work-stealing
-    /// pool of `jobs` threads (the `from_binary_par` analogue for
-    /// segment directories). Idempotent.
+    /// pool of `jobs` threads. Idempotent; a decode failure is cached
+    /// and reported by the next [`try_process_log`](Self::try_process_log)
+    /// of that process.
     pub fn preload(&self, jobs: usize) {
         if jobs <= 1 || self.procs.len() <= 1 {
             for p in 0..self.procs.len() {
-                self.process_log(ProcId(p as u32));
+                let _ = self.try_process_log(ProcId(p as u32));
             }
             return;
         }
@@ -1926,7 +1864,7 @@ impl SegmentedLog {
             procs
                 .par_iter()
                 .map(|&p| {
-                    self.process_log(p);
+                    let _ = self.try_process_log(p);
                 })
                 .collect()
         });
@@ -1937,7 +1875,7 @@ impl SegmentedLog {
         let corrupt = |detail: String| SegError::Corrupt { file: seg.meta.file.clone(), detail };
         // The payload crc covers header + *stored* payload — checked
         // first so a flipped bit is pinned to the checksum, whether it
-        // lands in a raw v1 payload or inside a compressed frame.
+        // lands in a frame header or inside a compressed body.
         let stored_end = seg.meta.payload_start + seg.meta.stored_len as usize;
         let actual_crc = crc32(&seg.map[..stored_end]);
         if actual_crc != seg.meta.payload_crc {
@@ -2137,11 +2075,9 @@ mod tests {
     #[test]
     fn every_format_round_trips() {
         let s = sample_store(25);
-        for (name, format) in [
-            ("rt-v1", SegmentFormat::V1),
-            ("rt-v2raw", SegmentFormat::V2Raw),
-            ("rt-v2z", SegmentFormat::V2Compressed),
-        ] {
+        for (name, format) in
+            [("rt-v2raw", SegmentFormat::V2Raw), ("rt-v2z", SegmentFormat::V2Compressed)]
+        {
             let dir = tmp_dir(name);
             assert_round_trip(&s, &dir, 256, format);
             let _ = std::fs::remove_dir_all(&dir);
@@ -2149,18 +2085,12 @@ mod tests {
     }
 
     #[test]
-    fn v1_segments_have_no_blocks_v2_do() {
+    fn segments_carry_block_tables() {
         let s = sample_store(10);
-        let d1 = tmp_dir("fmt-v1");
-        write_store_with(&s, &d1, 512, SegmentFormat::V1).unwrap();
-        let l1 = SegmentedLog::open(&d1).unwrap();
-        assert!(l1.segments(ProcId(0)).all(|m| m.version == 1 && m.block_count() == 0));
-        assert_eq!(l1.total_stored_bytes(), l1.total_payload_bytes());
         let d2 = tmp_dir("fmt-v2");
         write_store_with(&s, &d2, 512, SegmentFormat::V2Raw).unwrap();
         let l2 = SegmentedLog::open(&d2).unwrap();
         assert!(l2.segments(ProcId(0)).all(|m| m.version == 2 && m.block_count() > 0));
-        let _ = std::fs::remove_dir_all(&d1);
         let _ = std::fs::remove_dir_all(&d2);
     }
 
@@ -2295,7 +2225,6 @@ mod tests {
     #[test]
     fn truncated_tail_recovers_a_prefix_with_warning() {
         for (name, format) in [
-            ("truncated-tail-v1", SegmentFormat::V1),
             ("truncated-tail-v2", SegmentFormat::V2Raw),
             ("truncated-tail-v2z", SegmentFormat::V2Compressed),
         ] {
@@ -2484,6 +2413,28 @@ mod tests {
         assert!(report.segments > 0);
         assert!(report.warnings.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn payload_bit_flip_is_a_decode_error_naming_the_segment() {
+        for (name, format) in [
+            ("flip-decode-raw", SegmentFormat::V2Raw),
+            ("flip-decode-z", SegmentFormat::V2Compressed),
+        ] {
+            let dir = tmp_dir(name);
+            write_store_with(&sample_store(40), &dir, 64, format).unwrap();
+            let victim = dir.join(segment_file_name(0, 0));
+            let mut bytes = std::fs::read(&victim).unwrap();
+            bytes[SEG_MAGIC.len() + 8] ^= 0x40;
+            std::fs::write(&victim, &bytes).unwrap();
+            let seg = SegmentedLog::open(&dir).unwrap();
+            let err = seg.try_process_log(ProcId(0)).unwrap_err().to_string();
+            assert!(err.contains(&segment_file_name(0, 0)), "{format:?}: {err}");
+            // The failure is cached, and untouched processes still load.
+            assert_eq!(seg.try_process_log(ProcId(0)).unwrap_err().to_string(), err);
+            assert!(seg.try_process_log(ProcId(1)).is_ok());
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

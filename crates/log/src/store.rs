@@ -7,22 +7,22 @@
 //!
 //! A store has two backings behind one API: a plain in-memory entry
 //! vector per process (what the runtime fills during execution), or a
-//! mapped on-disk [`SegmentedLog`] opened from a `--log-dir` directory.
-//! On the segmented backing, structural queries are answered from
-//! footer metadata alone, and a process's entries are decoded from the
-//! mapped bytes only when first touched.
+//! mapped on-disk [`SegmentedLog`] opened from a `--log-dir` directory —
+//! the only persisted form of a log. On the segmented backing,
+//! structural queries are answered from footer metadata alone, and a
+//! process's entries are decoded from the mapped bytes only when first
+//! touched.
 
 use crate::entry::LogEntry;
 use crate::index::IntervalIndex;
 use crate::segment::{RefreshStats, SegError, SegmentFormat, SegmentedLog, SinkReport, KIND_NAMES};
 use ppd_analysis::EBlockId;
 use ppd_lang::ProcId;
-use serde::{Content, DeError, Deserialize, Serialize};
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
 /// The log of one process.
-#[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProcessLog {
     /// Entries in chronological order.
     pub entries: Vec<LogEntry>,
@@ -67,7 +67,7 @@ enum Repr {
 pub struct LogStore {
     repr: Repr,
     /// The interval index, built lazily on first structural query and
-    /// invalidated by [`LogStore::push`]. Never serialized: it is a pure
+    /// invalidated by [`LogStore::push`]. Never persisted: it is a pure
     /// function of the entries.
     index: OnceLock<Arc<IntervalIndex>>,
 }
@@ -91,24 +91,6 @@ impl Clone for LogStore {
             Repr::Seg(seg) => Repr::Seg(Arc::clone(seg)),
         };
         LogStore { repr, index }
-    }
-}
-
-impl Serialize for LogStore {
-    fn to_content(&self) -> Content {
-        // The JSON shape predates the segmented backing: always
-        // `{"logs": [...]}`, materializing on-disk processes as needed.
-        let logs: Vec<Content> =
-            (0..self.process_count()).map(|p| self.log(ProcId(p as u32)).to_content()).collect();
-        Content::Map(vec![(Content::str_key("logs"), Content::Seq(logs))])
-    }
-}
-
-impl Deserialize for LogStore {
-    fn from_content(c: &Content) -> Result<LogStore, DeError> {
-        let entries = c.as_map().ok_or_else(|| DeError::msg("expected map for LogStore"))?;
-        let logs: Vec<ProcessLog> = serde::field(entries, "logs", "LogStore")?;
-        Ok(LogStore { repr: Repr::Mem(logs), index: OnceLock::new() })
     }
 }
 
@@ -213,9 +195,7 @@ impl LogStore {
     }
 
     /// Decodes every process eagerly, concurrently across `jobs`
-    /// threads — the segment-directory analogue of
-    /// [`from_binary_par`](Self::from_binary_par). A no-op for
-    /// in-memory stores.
+    /// threads. A no-op for in-memory stores.
     pub fn preload(&self, jobs: usize) {
         if let Repr::Seg(seg) = &self.repr {
             seg.preload(jobs);
@@ -274,10 +254,30 @@ impl LogStore {
 
     /// The log of one process (decoded from mapped segments on first
     /// touch, for segment-backed stores).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a segment-backed process fails to decode; callers that
+    /// may be first to touch `proc` go through [`try_log`](Self::try_log).
     pub fn log(&self, proc: ProcId) -> &ProcessLog {
         match &self.repr {
             Repr::Mem(logs) => &logs[proc.index()],
             Repr::Seg(seg) => seg.process_log(proc),
+        }
+    }
+
+    /// The log of one process, or the decode failure of a damaged
+    /// segment (open checks only footers, so payload damage first shows
+    /// here). Once it has succeeded, [`log`](Self::log) cannot panic for
+    /// `proc`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`SegError`] naming the damaged segment file.
+    pub fn try_log(&self, proc: ProcId) -> Result<&ProcessLog, &SegError> {
+        match &self.repr {
+            Repr::Mem(logs) => Ok(&logs[proc.index()]),
+            Repr::Seg(seg) => seg.try_process_log(proc),
         }
     }
 
@@ -384,54 +384,6 @@ impl LogStore {
     /// The postlog entry of an interval, if complete.
     pub fn postlog_of(&self, interval: IntervalRef) -> Option<&LogEntry> {
         interval.postlog_pos.map(|p| &self.log(interval.proc).entries[p])
-    }
-
-    /// Serializes the store to JSON (the on-disk log-file format).
-    ///
-    /// # Errors
-    ///
-    /// Returns a serialization error if any value fails to encode.
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string(self)
-    }
-
-    /// Loads a store from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns a deserialization error on malformed input.
-    pub fn from_json(json: &str) -> Result<LogStore, serde_json::Error> {
-        serde_json::from_str(json)
-    }
-
-    /// Serializes the store in the compact binary log format — the honest
-    /// on-disk byte count for experiment E2, typically several times
-    /// smaller than the JSON encoding.
-    pub fn to_binary(&self) -> Vec<u8> {
-        crate::binio::encode(self)
-    }
-
-    /// Loads a store from the compact binary format.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`BinError`](crate::binio::BinError) — carrying the
-    /// byte offset and process-frame context of the failure — on a bad
-    /// magic number, unknown version/tag, or truncated input.
-    pub fn from_binary(bytes: &[u8]) -> Result<LogStore, crate::binio::BinError> {
-        crate::binio::decode(bytes)
-    }
-
-    /// Loads a store from the compact binary format, decoding the
-    /// per-process frames across `jobs` worker threads. Identical
-    /// result to [`from_binary`](Self::from_binary).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`BinError`](crate::binio::BinError) on a bad magic
-    /// number, unknown version/tag, or truncated input.
-    pub fn from_binary_par(bytes: &[u8], jobs: usize) -> Result<LogStore, crate::binio::BinError> {
-        crate::binio::decode_par(bytes, jobs)
     }
 }
 
@@ -600,15 +552,6 @@ mod tests {
         let iv = s.interval_covering(ProcId(0), EBlockId(0), 2).unwrap();
         assert_eq!(iv.eblock, EBlockId(0));
         assert!(s.interval_covering(ProcId(0), EBlockId(1), 9).is_none());
-    }
-
-    #[test]
-    fn store_serde_round_trip() {
-        let s = fig52_store();
-        let json = s.to_json().unwrap();
-        let back = LogStore::from_json(&json).unwrap();
-        assert_eq!(back.total_entries(), 4);
-        assert_eq!(back.total_bytes(), s.total_bytes());
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! ppd races  <file> [--schedules N]      probe N random schedules for races
 //! ppd dot    <file> [options]            emit Graphviz (static | parallel | dynamic)
 //! ppd log    pack <file> <dir> [options] run and stream logs into a segment store
-//!            (or: pack <saved.json> <dir> to convert a --save record)
 //! ppd log    inspect <dir> [--format json]  segment/footer summary, no entry decode
 //! ppd log    verify <dir>                full CRC + footer cross-check
 //! ppd obs    report <journal> [--format json]  aggregate a --journal file:
@@ -90,8 +89,6 @@ struct Options {
     strategy: EBlockStrategy,
     what: String,
     schedules: u64,
-    save: Option<String>,
-    load: Option<String>,
     deny: bool,
     explain: Option<String>,
     no_check: bool,
@@ -117,7 +114,7 @@ fn usage() -> ExitCode {
         "usage: ppd <check|lint|run|debug|races|dot> <file.ppd> \
          [--seed N] [--inputs a,b,c]... [--break LINE]... \
          [--strategy subroutine|loops|split|merge] [--what static|parallel|dynamic] \
-         [--schedules N] [--save FILE] [--load FILE] \
+         [--schedules N] \
          [--deny] [--explain CODE] [--no-check] [--format text|json|sarif] [--stats] \
          [--trace-out FILE] [--jobs N] \
          [--log-dir DIR] [--segment-bytes N] [--compress] \
@@ -151,8 +148,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<(String, Options
         strategy: EBlockStrategy::per_subroutine(),
         what: "dynamic".into(),
         schedules: 10,
-        save: None,
-        load: None,
         deny: false,
         explain: None,
         no_check: false,
@@ -195,8 +190,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<(String, Options
             "--schedules" => {
                 opts.schedules = value()?.parse().map_err(|_| "--schedules wants a number")?;
             }
-            "--save" => opts.save = Some(value()?),
-            "--load" => opts.load = Some(value()?),
             "--deny" => opts.deny = true,
             "--explain" => opts.explain = Some(value()?),
             "--no-check" => opts.no_check = true,
@@ -636,30 +629,6 @@ fn cmd_lint(session: &PpdSession, opts: &Options, source: &str) -> ExitCode {
 }
 
 fn cmd_run(session: &PpdSession, opts: &Options, verbose: bool) -> (Execution, ExitCode) {
-    // `--load` replays the offline workflow: the execution phase already
-    // happened; debug its saved record.
-    if let Some(path) = &opts.load {
-        match std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|j| Execution::from_json(&j).map_err(|e| e.to_string()))
-        {
-            Ok(execution) => {
-                if verbose {
-                    println!("loaded execution from {path}");
-                    println!("outcome: {}", describe_outcome(session, &execution.outcome));
-                }
-                let code = match execution.outcome {
-                    Outcome::Completed | Outcome::Breakpoint { .. } => ExitCode::SUCCESS,
-                    _ => ExitCode::FAILURE,
-                };
-                return (execution, code);
-            }
-            Err(e) => {
-                eprintln!("error: cannot load {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
     // `--log-dir` streams the run through the segmented on-disk store
     // (or loads one a previous run left there): debugging then works
     // over the mmap-backed, lazily decoded logs.
@@ -707,17 +676,6 @@ fn cmd_run(session: &PpdSession, opts: &Options, verbose: bool) -> (Execution, E
     } else {
         session.execute(run_config(session, opts))
     };
-    if let Some(path) = &opts.save {
-        let written = execution
-            .to_json()
-            .map_err(|e| e.to_string())
-            .and_then(|j| std::fs::write(path, j).map_err(|e| e.to_string()));
-        match written {
-            Ok(()) if verbose => println!("execution saved to {path}"),
-            Ok(()) => {}
-            Err(e) => eprintln!("warning: cannot save to {path}: {e}"),
-        }
-    }
     if verbose {
         for &(p, v) in &execution.output {
             println!("[{}] {v}", session.rp().proc_name(p));
@@ -996,12 +954,14 @@ fn cmd_debug(session: &PpdSession, opts: &Options) -> ExitCode {
                 println!("stats reset (cached traces kept warm)");
             }
             ("stats", _) => println!("{}", render_stats(&controller, opts)),
-            ("state", _) => {
-                let state = shared_state_at(session, &execution, u64::MAX);
-                for v in session.rp().shared_vars() {
-                    println!("  {} = {}", session.rp().var_name(v), state[v.index()]);
+            ("state", _) => match shared_state_at(session, &execution, u64::MAX) {
+                Ok(state) => {
+                    for v in session.rp().shared_vars() {
+                        println!("  {} = {}", session.rp().var_name(v), state[v.index()]);
+                    }
                 }
-            }
+                Err(e) => println!("{e}"),
+            },
             ("dot", _) => println!("{}", dot::dynamic_to_dot(controller.graph())),
             ("", _) => {}
             _ => println!("unknown command or bad node id"),
@@ -1040,7 +1000,7 @@ fn render_stats(controller: &Controller<'_>, opts: &Options) -> String {
 
 fn log_usage() -> ExitCode {
     eprintln!(
-        "usage: ppd log pack <file.ppd|saved.json> <dir> \
+        "usage: ppd log pack <file.ppd> <dir> \
          [--seed N] [--inputs a,b,c]... [--strategy S] [--segment-bytes N] [--compress]\n       \
          ppd log inspect <dir> [--format text|json]\n       \
          ppd log verify <dir>"
@@ -1074,8 +1034,8 @@ fn cmd_log(mut args: impl Iterator<Item = String>) -> ExitCode {
     }
 }
 
-/// Runs a program (or converts a `--save` JSON record) into a segmented
-/// store at `dir`.
+/// Runs a program with the streaming sink attached, packing its logs
+/// into a segmented store at `dir`.
 fn cmd_log_pack(mut args: impl Iterator<Item = String>) -> ExitCode {
     let (Some(file), Some(dir)) = (args.next(), args.next()) else { return log_usage() };
     let mut scheduler = SchedulerSpec::RoundRobin;
@@ -1120,41 +1080,6 @@ fn cmd_log_pack(mut args: impl Iterator<Item = String>) -> ExitCode {
         }
     }
     let dir = std::path::Path::new(&dir);
-    // A `--save` record converts without re-running; source re-executes
-    // with the streaming sink attached.
-    if file.ends_with(".json") {
-        let loaded = std::fs::read_to_string(&file)
-            .map_err(|e| e.to_string())
-            .and_then(|j| Execution::from_json(&j).map_err(|e| e.to_string()));
-        let execution = match loaded {
-            Ok(x) => x,
-            Err(e) => {
-                eprintln!("error: cannot load {file}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let format = if compress {
-            ppd::log::SegmentFormat::V2Compressed
-        } else {
-            ppd::log::SegmentFormat::default()
-        };
-        return match execution.save_dir_with(dir, segment_bytes, format) {
-            Ok(report) => {
-                println!(
-                    "packed {} entries into {} segment(s), {} bytes, at {}",
-                    report.entries,
-                    report.segments,
-                    report.bytes,
-                    dir.display()
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
     let source = match std::fs::read_to_string(&file) {
         Ok(s) => s,
         Err(e) => {

@@ -203,18 +203,17 @@ fn compile_error_is_reported() {
 
 #[test]
 fn save_and_load_execution_record() {
-    let dir = std::env::temp_dir().join("ppd_cli_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("exec.json");
-    let path_s = path.to_str().unwrap();
+    let dir = std::env::temp_dir().join("ppd_cli_test").join("saved-run");
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_s = dir.to_str().unwrap();
     let (stdout, _, ok) =
-        run_ppd(&["run", "programs/overdraw.ppd", "--inputs", "95", "--save", path_s]);
+        run_ppd(&["run", "programs/overdraw.ppd", "--inputs", "95", "--log-dir", dir_s]);
     assert!(!ok, "program failed (that's the point)");
-    assert!(stdout.contains("execution saved"), "{stdout}");
+    assert!(stdout.contains("logs streamed to"), "{stdout}");
 
-    // Offline debugging from the saved record, without re-running.
+    // Offline debugging from the saved store, without re-running.
     let mut child = ppd()
-        .args(["debug", "programs/overdraw.ppd", "--load", path_s])
+        .args(["debug", "programs/overdraw.ppd", "--log-dir", dir_s])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .spawn()
@@ -223,8 +222,9 @@ fn save_and_load_execution_record() {
     child.stdin.as_mut().unwrap().write_all(b"graph\nquit\n").unwrap();
     let out = child.wait_with_output().unwrap();
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("loaded execution"), "{stdout}");
+    assert!(stdout.contains("loaded segmented log store"), "{stdout}");
     assert!(stdout.contains("debugging from: assert"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -246,20 +246,39 @@ fn log_pack_inspect_verify_round_trip() {
 
 #[test]
 fn log_verify_flags_payload_corruption() {
-    let dir = std::env::temp_dir().join("ppd_cli_test").join("log-corrupt");
-    let _ = std::fs::remove_dir_all(&dir);
-    let dir_s = dir.to_str().unwrap().to_owned();
-    let (_, stderr, ok) = run_ppd(&["log", "pack", "programs/bank.ppd", &dir_s]);
-    assert!(ok, "{stderr}");
-    // Flip a payload byte in the first segment of process 0.
-    let victim = dir.join("p0000-s000000.seg");
-    let mut bytes = std::fs::read(&victim).expect("segment exists");
-    bytes[12] ^= 0x40;
-    std::fs::write(&victim, &bytes).unwrap();
-    let (_, stderr, ok) = run_ppd(&["log", "verify", &dir_s]);
-    assert!(!ok, "corrupt store must fail verification");
-    assert!(stderr.contains("payload crc mismatch"), "{stderr}");
-    let _ = std::fs::remove_dir_all(&dir);
+    for (name, compress) in [("log-corrupt", None), ("log-corrupt-z", Some("--compress"))] {
+        let dir = std::env::temp_dir().join("ppd_cli_test").join(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        let dir_s = dir.to_str().unwrap().to_owned();
+        let mut pack = vec!["log", "pack", "programs/bank.ppd", &dir_s];
+        pack.extend(compress);
+        let (_, stderr, ok) = run_ppd(&pack);
+        assert!(ok, "{stderr}");
+        // Flip a payload byte in the first segment of process 0.
+        let victim = dir.join("p0000-s000000.seg");
+        let mut bytes = std::fs::read(&victim).expect("segment exists");
+        bytes[12] ^= 0x40;
+        std::fs::write(&victim, &bytes).unwrap();
+        let (_, stderr, ok) = run_ppd(&["log", "verify", &dir_s]);
+        assert!(!ok, "corrupt store must fail verification");
+        assert!(stderr.contains("payload crc mismatch"), "{stderr}");
+        // Debugging over the damaged store opens it (open checks only
+        // footers) and must then fail cleanly, naming the segment.
+        // (Run from inside the store so a regression's panic dump
+        // lands there, not in the checkout.)
+        let program = concat!(env!("CARGO_MANIFEST_DIR"), "/programs/bank.ppd");
+        let out = ppd()
+            .args(["debug", program, "--log-dir", &dir_s])
+            .current_dir(&dir)
+            .stdin(Stdio::null())
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+        assert!(stderr.contains("p0000-s000000.seg"), "{name}: {stderr}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! the debugging phase can start and materialize fragments.
 
 use ppd::analysis::EBlockStrategy;
-use ppd::core::{Controller, PpdSession, RunConfig};
+use ppd::core::{Controller, Execution, PpdSession, RunConfig};
 use ppd::lang::corpus;
 use ppd::lang::ProcId;
 use ppd::runtime::SchedulerSpec;
@@ -76,10 +76,18 @@ fn corpus_logs_are_well_formed() {
                 );
             }
         }
-        // Logs survive a serialization round trip.
-        let json = execution.logs.to_json().unwrap();
-        let back = ppd::log::LogStore::from_json(&json).unwrap();
-        assert_eq!(back.total_entries(), execution.logs.total_entries());
+        // Logs survive a round trip through the segment store.
+        let dir =
+            std::env::temp_dir().join(format!("ppd-e2e-logs-{}-{}", std::process::id(), prog.name));
+        let _ = std::fs::remove_dir_all(&dir);
+        execution.save_dir(&dir, 0).unwrap();
+        let back = Execution::load_dir(&dir).unwrap();
+        assert_eq!(back.logs.total_entries(), execution.logs.total_entries());
+        for p in 0..execution.logs.process_count() {
+            let pid = ProcId(p as u32);
+            assert_eq!(back.logs.log(pid), execution.logs.log(pid), "{}", prog.name);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 

@@ -21,11 +21,8 @@ use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 
 /// Every on-disk payload layout the store can read.
-const FORMATS: [(&str, SegmentFormat); 3] = [
-    ("v1", SegmentFormat::V1),
-    ("v2raw", SegmentFormat::V2Raw),
-    ("v2z", SegmentFormat::V2Compressed),
-];
+const FORMATS: [(&str, SegmentFormat); 2] =
+    [("v2raw", SegmentFormat::V2Raw), ("v2z", SegmentFormat::V2Compressed)];
 
 /// Fresh per-test store directory under the system temp dir.
 fn tmp_dir(name: &str) -> PathBuf {
@@ -271,11 +268,11 @@ fn truncated_tail_still_loads_with_warning() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Bit-identical query transcripts across raw v1, raw v2 and compressed
-/// v2 stores of the same execution: the payload layout must never leak
-/// into a debugger answer.
+/// Bit-identical query transcripts across raw and compressed stores of
+/// the same execution: the payload layout must never leak into a
+/// debugger answer.
 #[test]
-fn transcripts_identical_across_v1_v2raw_and_v2_compressed() {
+fn transcripts_identical_across_v2raw_and_v2_compressed() {
     for (name, session, config) in workloads() {
         let execution = session.execute(config);
         let base = transcript(&session, &execution);
@@ -303,7 +300,7 @@ fn transcripts_identical_across_v1_v2raw_and_v2_compressed() {
 
 /// Live-tail recovery parity: a writer that flushed but never sealed
 /// (the still-running-program shape) leaves only unsealed tails, and the
-/// recovered store answers every query identically in all three formats.
+/// recovered store answers every query identically in both formats.
 #[test]
 fn recovered_live_tails_answer_queries_identically_across_formats() {
     let session = PpdSession::prepare(corpus::QUICKSORT.source, EBlockStrategy::per_subroutine())

@@ -159,20 +159,25 @@ fn parallel_race_scan_matches_every_sequential_detector() {
 
 #[test]
 fn parallel_log_decode_and_index_match_sequential() {
+    let root = std::env::temp_dir().join(format!("ppd-par-decode-{}", std::process::id()));
     for (name, session, config) in workloads() {
         let execution = session.execute(config);
-        let bytes = execution.logs.to_binary();
-        let seq = LogStore::from_binary(&bytes).expect("sequential decode");
+        let seq = &execution.logs;
+        let dir = root.join(&name);
+        let _ = std::fs::remove_dir_all(&dir);
+        seq.write_dir(&dir, 512).expect("segment store writes");
         for jobs in JOB_COUNTS {
-            let par = LogStore::from_binary_par(&bytes, jobs).expect("parallel decode");
+            // A fresh open per job count: preload decodes each process
+            // at most once per open.
+            let par = LogStore::open_dir(&dir).expect("segment store opens");
+            par.preload(jobs);
             assert_eq!(par.process_count(), seq.process_count(), "{name}");
             for p in 0..seq.process_count() {
                 let pid = ProcId(p as u32);
                 assert_eq!(par.log(pid).entries, seq.log(pid).entries, "{name} proc {p}");
             }
-            assert_eq!(par.to_binary(), bytes, "{name}: parallel decode round-trip");
             // Index construction sharded by process = single-pass build.
-            let built = IntervalIndex::build(&seq);
+            let built = IntervalIndex::build(seq);
             let built_par = IntervalIndex::build_par(&par, jobs);
             for p in 0..seq.process_count() {
                 let pid = ProcId(p as u32);
@@ -189,6 +194,7 @@ fn parallel_log_decode_and_index_match_sequential() {
             }
         }
     }
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 // ---------------------------------------------------------------------
